@@ -70,8 +70,11 @@ DOMAIN_ERRORS = (
 def _load_weights(path):
     if path is None:
         return None
-    with open(path, "rb") as handle:
-        doc = json.load(handle)
+    try:
+        with open(path, "rb") as handle:
+            doc = json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read weights file {path!r}: {exc.strerror}") from exc
     return {label: Fraction(value) for label, value in doc.items()}
 
 
@@ -331,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Read-once AND-OR formulas as two-terminal networks: "
                     "resistances, flows, cuts, witness sizes, and games.")
     parser.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("FF_JOBS", "1")),
+                        default=os.environ.get("FF_JOBS", "1"),
                         help="worker count for sweeps (output order is "
                              "deterministic regardless)")
     sub = parser.add_subparsers(dest="command", required=True)

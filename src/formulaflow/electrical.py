@@ -4,8 +4,10 @@ Three mutually cross-checking resistance routes are provided:
 
 * ``exact-sp``   -- recursive series/parallel reduction over exact rationals,
 * ``laplacian``  -- float solve of the grounded weighted Laplacian,
-* an exact rational Laplacian solve used by :func:`optimal_flow` and the
-  span-program module.
+* an exact rational solve of the same grounded Laplacian by the sparse
+  minimum-degree kernel :func:`.linalg.solve_grounded_laplacian`, used by
+  :func:`optimal_flow` and the span-program module; dense ``linalg.rref``
+  now serves only ``lex_min_quadratics``.
 
 Disconnection is the first-class value ``INF`` from :mod:`.extended`.
 """
@@ -37,17 +39,24 @@ LAPLACIAN = "laplacian"
 # connectivity helpers
 # ---------------------------------------------------------------------------
 
-def component_of(net: Network, start: str) -> set:
-    adj = net.adjacency()
+def _reach(edges, start) -> set:
+    """Vertices joined to ``start`` by ``edges``."""
+    adj = defaultdict(list)
+    for e in edges:
+        adj[e.u].append(e.v)
+        adj[e.v].append(e.u)
     seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v, _e in adj[u]:
+    stack = [start]
+    while stack:
+        for v in adj[stack.pop()]:
             if v not in seen:
                 seen.add(v)
-                queue.append(v)
+                stack.append(v)
     return seen
+
+
+def component_of(net: Network, start: str) -> set:
+    return _reach(net.edges, start)
 
 
 def terminals_connected(net: Network) -> bool:
@@ -165,66 +174,64 @@ def _reduce_series_parallel(net: Network):
     raise NotSeriesParallelError("reduction stalled; network is not series-parallel")
 
 
+@dataclass(frozen=True)
+class GroundedLaplacian:
+    """Laplacian of the component of a source, grounded at a sink.
+
+    ``triplets`` holds one ``(i, j, w)`` per edge of the component, in edge
+    order, indexed by ``order`` (the component's other vertices, in vertex
+    order) with the ground at ``len(order)``.  The solves need ``connected``.
+    """
+
+    component: set
+    order: list
+    triplets: list
+    source: int
+    connected: bool
+
+    def potentials_exact(self) -> dict:
+        """Exact potentials of a unit current, keyed by ``order``."""
+        sol = linalg.solve_grounded_laplacian(len(self.order), self.triplets, self.source)
+        return dict(zip(self.order, sol))
+
+    def resistance_float(self) -> float:
+        """Float effective resistance by a dense ``numpy.linalg.solve``."""
+        n = len(self.order)
+        lap = np.zeros((n + 1, n + 1))  # the ground's row and column are dropped
+        for i, j, w in self.triplets:
+            w = float(w)
+            lap[i, i] += w
+            lap[j, j] += w
+            lap[i, j] -= w
+            lap[j, i] -= w
+        rhs = np.zeros(n)
+        rhs[self.source] = 1.0
+        return float(np.linalg.solve(lap[:n, :n], rhs)[self.source])
+
+
+def grounded_laplacian(vertices, edges, s, t) -> GroundedLaplacian:
+    """The Laplacian of the component of ``s`` grounded at ``t``, over
+    ``vertices`` and the ``edges`` among them."""
+    comp = _reach(edges, s)
+    order = [v for v in vertices if v in comp and v != t]
+    index = {v: i for i, v in enumerate(order)}
+    index[t] = len(order)
+    triplets = [(index[e.u], index[e.v], e.weight) for e in edges if e.u in comp]
+    return GroundedLaplacian(comp, order, triplets, index[s], t in comp)
+
+
 def solve_potentials_exact(net: Network):
     """Exact vertex potentials for a unit current from s to t.
 
     Returns (potentials dict with p[t] = 0, resistance) or None when the
     terminals are disconnected.  Solved on the component of ``s`` only.
     """
-    comp = component_of(net, net.s)
-    if net.t not in comp:
+    lap = grounded_laplacian(net.vertices, net.edges, net.s, net.t)
+    if not lap.connected:
         return None
-    order = [v for v in net.vertices if v in comp and v != net.t]
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    lap = [[Fraction(0)] * n for _ in range(n)]
-    for e in net.edges:
-        if e.u not in comp:
-            continue
-        iu = index.get(e.u)
-        iv = index.get(e.v)
-        if iu is not None:
-            lap[iu][iu] += e.weight
-        if iv is not None:
-            lap[iv][iv] += e.weight
-        if iu is not None and iv is not None:
-            lap[iu][iv] -= e.weight
-            lap[iv][iu] -= e.weight
-    rhs = [Fraction(0)] * n
-    rhs[index[net.s]] = Fraction(1)
-    sol = linalg.solve_consistent(lap, rhs)
-    if sol is None:
-        raise ArithmeticError("grounded Laplacian must be nonsingular")
-    potentials = {v: sol[index[v]] for v in order}
+    potentials = lap.potentials_exact()
     potentials[net.t] = Fraction(0)
     return potentials, potentials[net.s]
-
-
-def _resistance_laplacian_float(net: Network) -> float:
-    comp = component_of(net, net.s)
-    if net.t not in comp:
-        return math.inf
-    order = [v for v in net.vertices if v in comp and v != net.t]
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    lap = np.zeros((n, n))
-    for e in net.edges:
-        if e.u not in comp:
-            continue
-        w = float(e.weight)
-        iu = index.get(e.u)
-        iv = index.get(e.v)
-        if iu is not None:
-            lap[iu, iu] += w
-        if iv is not None:
-            lap[iv, iv] += w
-        if iu is not None and iv is not None:
-            lap[iu, iv] -= w
-            lap[iv, iu] -= w
-    rhs = np.zeros(n)
-    rhs[index[net.s]] = 1.0
-    sol = np.linalg.solve(lap, rhs)
-    return float(sol[index[net.s]])
 
 
 def effective_resistance(net: Network, backend: str = EXACT_SP):
@@ -236,7 +243,8 @@ def effective_resistance(net: Network, backend: str = EXACT_SP):
     if backend == EXACT_SP:
         return _reduce_series_parallel(net)
     if backend == LAPLACIAN:
-        return _resistance_laplacian_float(net)
+        lap = grounded_laplacian(net.vertices, net.edges, net.s, net.t)
+        return lap.resistance_float() if lap.connected else math.inf
     raise ValueError(f"unknown backend {backend!r}")
 
 

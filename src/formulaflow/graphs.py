@@ -153,12 +153,14 @@ def formula_graph(f: Formula, weights: Mapping[str, Fraction] | None = None) -> 
 
     Leaf i becomes the single edge labeled ``x{i}``; AND composes children in
     series, OR in parallel.  ``weights`` maps edge labels to rationals and
-    defaults to all ones.
+    defaults to all ones; a non-empty mapping must cover every label.
     """
 
     def build(g: Formula) -> Network:
         if g.is_leaf:
             label = f"x{g.var}"
+            if weights and label not in weights:
+                raise ValueError(f"weights give no value for label {label!r}")
             w = Fraction(weights[label]) if weights else Fraction(1)
             return single_edge(label, w)
         mode = SERIES if g.kind == "and" else PARALLEL

@@ -258,6 +258,8 @@ def simulate_game(d: int, x, seed: int, reps: int,
     resistance-guided rule on the two child subinstances and pays its cost;
     B's choices are drawn from a counter-based generator keyed by ``seed``.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     bits = as_bits(x, 1 << d)
     root_r = subtree_resistance(bits, d)
     if root_r is INF:
@@ -290,7 +292,6 @@ def simulate_game(d: int, x, seed: int, reps: int,
     select_calls = 0
     violations = 0
     transcripts = [] if keep_transcripts else None
-    costs = np.zeros(reps)
     for rep in range(reps):
         pos = 0
         cost = 0.0
@@ -320,7 +321,6 @@ def simulate_game(d: int, x, seed: int, reps: int,
         wins += won
         total += cost
         worst = max(worst, cost)
-        costs[rep] = cost
         if keep_transcripts:
             transcripts.append(GameTranscript(tuple(moves), "A" if won else "B", cost))
     mean_cost = total / reps

@@ -24,16 +24,18 @@ import numpy as np
 
 from . import linalg
 from .electrical import (
-    _resistance_laplacian_float,
+    LAPLACIAN,
     component_of,
     components,
+    effective_resistance,
     formula_resistance,
+    grounded_laplacian,
     solve_potentials_exact,
 )
 from .errors import DisconnectedError
 from .extended import INF, as_float
 from .formula import AND, Formula, as_bits, eval_formula
-from .graphs import Network
+from .graphs import Edge, Network
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -140,23 +142,8 @@ def positive_witness(program: SpanProgram, x) -> WitnessReport:
             vec[col] = float(theta) / (2.0 * math.sqrt(float(weights[label])))
     a = span_matrix(program)
     residual = float(np.linalg.norm(a @ vec - target_vector(program)))
-    size_float = _resistance_laplacian_float(sub) / 2.0  # independent float route
+    size_float = effective_resistance(sub, LAPLACIAN) / 2.0  # independent float route
     return WitnessReport(POSITIVE, size, size_float, Fraction(0), vec, residual)
-
-
-def _quotient_network(net: Network, sub: Network) -> tuple:
-    """Contract the components of ``sub`` inside the host ``net``."""
-    comp = components(sub)
-    reps = []
-    for v in net.vertices:
-        if comp[v] not in reps:
-            reps.append(comp[v])
-    edges = []
-    for i, e in enumerate(net.edges):
-        cu, cv = comp[e.u], comp[e.v]
-        if cu != cv:
-            edges.append((cu, cv, e.label, e.weight))
-    return comp, reps, edges
 
 
 def negative_witness(program: SpanProgram, x) -> WitnessReport:
@@ -167,86 +154,30 @@ def negative_witness(program: SpanProgram, x) -> WitnessReport:
     minimize twice the weighted Dirichlet energy over all host edges.
     """
     net = program.network
-    sub = _selected_subgraph(program, x)
-    comp, reps, qedges = _quotient_network(net, sub)
+    comp = components(_selected_subgraph(program, x))
     cs, ct = comp[net.s], comp[net.t]
     if cs == ct:
         return WitnessReport(NEGATIVE, INF, math.inf, Fraction(0), None, 0.0)
-    reachable = _reachable(qedges, cs)
-    if ct not in reachable:
+    # the quotient: each selected component contracted to its representative
+    reps = dict.fromkeys(comp[v] for v in net.vertices)
+    qedges = [Edge(comp[e.u], comp[e.v], e.label, e.weight) for e in net.edges
+              if comp[e.u] != comp[e.v]]
+    lap = grounded_laplacian(reps, qedges, cs, ct)
+    if not lap.connected:
         # no host edge ever links the two groups: a 0/1 indicator annihilates
         # every column, so the witness size collapses to zero
-        omega = {v: Fraction(1) if comp[v] in reachable else Fraction(0)
+        omega = {v: Fraction(1) if comp[v] in lap.component else Fraction(0)
                  for v in net.vertices}
         return WitnessReport(NEGATIVE, Fraction(0), 0.0, Fraction(0), omega, 0.0)
-    potentials, resistance = _quotient_potentials(reps, qedges, cs, ct, reachable)
+    potentials = lap.potentials_exact()
+    resistance = potentials[cs]
     size = 2 / resistance
-    omega = {v: potentials[comp[v]] / resistance for v in net.vertices}
-    size_float = 2.0 * _quotient_conductance_float(reps, qedges, cs, ct, reachable)
+    omega = {v: potentials.get(comp[v], Fraction(0)) / resistance for v in net.vertices}
+    size_float = 2.0 / lap.resistance_float()
     norm_sq = 2.0 * sum(float(e.weight) * (float(omega[e.u]) - float(omega[e.v])) ** 2
                         for e in net.edges)
     residual = abs(norm_sq - as_float(size))
     return WitnessReport(NEGATIVE, size, size_float, Fraction(0), omega, residual)
-
-
-def _reachable(qedges, start) -> set:
-    adj = {}
-    for (a, b, _l, _w) in qedges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    stack, seen = [start], {start}
-    while stack:
-        v = stack.pop()
-        for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def _quotient_potentials(reps, qedges, cs, ct, reachable):
-    """Exact unit-current potentials on the contracted multigraph."""
-    live = [v for v in reps if v != ct and v in reachable]
-    index = {v: i for i, v in enumerate(live)}
-    n = len(live)
-    lap = [[Fraction(0)] * n for _ in range(n)]
-    for (a, b, _label, w) in qedges:
-        ia, ib = index.get(a), index.get(b)
-        if ia is not None:
-            lap[ia][ia] += w
-        if ib is not None:
-            lap[ib][ib] += w
-        if ia is not None and ib is not None:
-            lap[ia][ib] -= w
-            lap[ib][ia] -= w
-    rhs = [Fraction(0)] * n
-    rhs[index[cs]] = Fraction(1)
-    sol = linalg.solve_consistent(lap, rhs)
-    potentials = {v: Fraction(0) for v in reps}
-    for v, i in index.items():
-        potentials[v] = sol[i]
-    return potentials, potentials[cs]
-
-
-def _quotient_conductance_float(reps, qedges, cs, ct, reachable) -> float:
-    live = [v for v in reps if v != ct and v in reachable]
-    index = {v: i for i, v in enumerate(live)}
-    n = len(live)
-    lap = np.zeros((n, n))
-    for (a, b, _label, w) in qedges:
-        w = float(w)
-        ia, ib = index.get(a), index.get(b)
-        if ia is not None:
-            lap[ia, ia] += w
-        if ib is not None:
-            lap[ib, ib] += w
-        if ia is not None and ib is not None:
-            lap[ia, ib] -= w
-            lap[ib, ia] -= w
-    rhs = np.zeros(n)
-    rhs[index[cs]] = 1.0
-    sol = np.linalg.solve(lap, rhs)
-    return 1.0 / float(sol[index[cs]])
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,37 @@ def test_game_requires_seed(capsys):
     assert exc.value.code == 2
 
 
+def test_game_zero_reps_exits_one(capsys):
+    code, _out, err = run(capsys, "game", "-d", "2", "-x", "1111", "--seed", "1",
+                          "--reps", "0")
+    assert code == 1
+    assert err.startswith("error: reps")
+
+
+def test_partial_weights_exit_one(capsys, tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text('{"x1": "2"}')
+    code, _out, err = run(capsys, "witness", "-f", "x1&x2", "-x", "11",
+                          "--weights", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "'x2'" in err
+
+
+def test_missing_weights_file_exits_one(capsys, tmp_path):
+    code, _out, err = run(capsys, "witness", "-f", "x1&x2", "-x", "11",
+                          "--weights", str(tmp_path / "absent.json"))
+    assert code == 1
+    assert err.startswith("error: cannot read weights file")
+
+
+def test_bad_jobs_environment_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("FF_JOBS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", "-f", "x1"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_bounds_line_family(capsys):
     code, out, _ = run(capsys, "bounds", "--family", "line", "--n", "9",
                        "--h", "3", "--json")

@@ -121,6 +121,13 @@ def test_weight_map_applied():
     assert net.weight_map() == {"x1": Fraction(3, 2), "x2": Fraction(4)}
 
 
+def test_partial_weights_name_the_missing_label():
+    f = parse_formula("x1&x2")
+    with pytest.raises(ValueError, match="'x2'"):
+        formula_graph(f, {"x1": Fraction(2)})
+    assert formula_graph(f, {}) == formula_graph(f, None) == formula_graph(f)
+
+
 # ---------------------------------------------------------------------------
 # duality
 # ---------------------------------------------------------------------------

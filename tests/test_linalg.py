@@ -1,0 +1,96 @@
+"""The sparse grounded-Laplacian kernel against dense Gauss-Jordan elimination."""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from formulaflow.linalg import solve_consistent, solve_grounded_laplacian
+
+
+def dense_oracle(n, edges, source):
+    """Potentials from the dense grounded Laplacian, solved by ``rref``."""
+    lap = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, w in edges:
+        for a, b in ((i, j), (j, i)):
+            if a < n:
+                lap[a][a] += w
+                if b < n:
+                    lap[a][b] -= w
+    rhs = [Fraction(int(k == source)) for k in range(n)]
+    return solve_consistent(lap, rhs)
+
+
+def relabel(edges, ground):
+    """Move vertex ``ground`` to the last index of a graph on 0..max."""
+    top = max(max(i, j) for i, j, _w in edges)
+
+    def move(v):
+        return top if v == ground else v - (v > ground)
+
+    return [(move(i), move(j), w) for i, j, w in edges]
+
+
+def complete(k):
+    return [(i, j, Fraction(1 + i + 2 * j, 1 + j)) for i, j in itertools.combinations(range(k), 2)]
+
+
+def grid(rows, cols):
+    edges = []
+    for r, c in itertools.product(range(rows), range(cols)):
+        v = r * cols + c
+        if c + 1 < cols:
+            edges.append((v, v + 1, Fraction(1 + r, 1 + c)))
+        if r + 1 < rows:
+            edges.append((v, v + cols, Fraction(2 + c, 1 + r)))
+    return edges
+
+
+# s = 0, t = 3 (the ground), bridge a-b between the two middle vertices
+WHEATSTONE = [(0, 1, Fraction(1)), (0, 2, Fraction(2)), (1, 2, Fraction(3)),
+              (1, 3, Fraction(1, 2)), (2, 3, Fraction(5))]
+
+NON_SERIES_PARALLEL = {
+    "wheatstone": (3, WHEATSTONE),
+    "k4": (3, complete(4)),
+    "k5": (4, complete(5)),
+    "grid3x3": (8, relabel(grid(3, 3), 8)),
+    "grid3x3-centre-ground": (8, relabel(grid(3, 3), 4)),
+    "bridge-multigraph": (3, WHEATSTONE + [(1, 2, Fraction(7, 3)), (0, 3, Fraction(1, 9)),
+                                           (0, 1, Fraction(4))]),
+    "k5-doubled": (4, complete(5) + [(i, j, Fraction(3, 2)) for i, j, _w in complete(5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SERIES_PARALLEL))
+def test_kernel_matches_dense_oracle_on_non_series_parallel_graphs(name):
+    n, edges = NON_SERIES_PARALLEL[name]
+    for source in range(n):
+        assert solve_grounded_laplacian(n, edges, source) == dense_oracle(n, edges, source)
+
+
+weights = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on n + 1 vertices plus extra (possibly parallel)
+    edges, every edge with a rational weight p/q, p, q in 1..9."""
+    n = draw(st.integers(1, 9))
+    edges = []
+    for v in range(1, n + 1):
+        edges.append((draw(st.integers(0, v - 1)), v, draw(weights)))
+    pairs = st.tuples(st.integers(0, n), st.integers(0, n)).filter(lambda p: p[0] != p[1])
+    for i, j in draw(st.lists(pairs, max_size=3 * n)):
+        edges.append((i, j, draw(weights)))
+    ground = draw(st.integers(0, n))
+    source = draw(st.integers(0, n - 1))
+    return n, relabel(edges, ground), source
+
+
+@given(connected_graphs())
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_dense_oracle_on_random_graphs(graph):
+    n, edges, source = graph
+    assert solve_grounded_laplacian(n, edges, source) == dense_oracle(n, edges, source)

@@ -217,6 +217,11 @@ def test_game_rejects_losing_instance():
         simulate_game(2, "0000", seed=1, reps=4)
 
 
+def test_game_rejects_zero_reps():
+    with pytest.raises(ValueError, match="reps"):
+        simulate_game(2, "1111", seed=1, reps=0)
+
+
 def test_game_reproducible_for_fixed_seed():
     a = simulate_game(4, REFERENCE, seed=123, reps=64, keep_transcripts=True)
     b = simulate_game(4, REFERENCE, seed=123, reps=64, keep_transcripts=True)

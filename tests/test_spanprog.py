@@ -154,6 +154,16 @@ def test_witness_sizes_match_resistances_exactly():
             assert neg.size == (INF if rd is INF else 2 * rd)
 
 
+def test_whole_nand_tree_witnesses_match_the_fold():
+    # N = 1024: the exact Laplacian route on a large network, against the fold
+    f = build_nand_tree(10)
+    program = build_span_program(formula_graph(f))
+    ones, zeros = (1,) * 1024, (0,) * 1024
+    assert positive_witness(program, ones).size == formula_resistance(f, ones) / 2
+    assert negative_witness(program, zeros).size == \
+        2 * formula_resistance(f, zeros, dual=True)
+
+
 def test_positive_witness_matches_generic_least_squares():
     # the minimum-norm solution over present columns has the same norm
     rng = np.random.default_rng(44)
