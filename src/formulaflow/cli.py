@@ -46,8 +46,7 @@ from .graphs import (
     dual_network,
     export,
     formula_graph,
-    selector_from_assignment,
-    subgraph,
+    formula_subgraph,
 )
 from .nand import fault_complexity, is_k_fault, naive_cost, simulate_game
 from .spanprog import (
@@ -127,10 +126,8 @@ def _cmd_graph(args) -> int:
 
 
 def _subnet(args, polarity):
-    f = parse_formula(args.formula)
-    weights = _load_weights(args.weights)
-    host = dual_network(f, weights) if polarity == DUAL else formula_graph(f, weights)
-    return subgraph(host, selector_from_assignment(host, args.x, polarity))
+    return formula_subgraph(parse_formula(args.formula), args.x,
+                            _load_weights(args.weights), polarity)
 
 
 def _cmd_resist(args) -> int:

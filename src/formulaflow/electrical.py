@@ -1,13 +1,20 @@
 """Effective resistance, optimal unit flows, cuts, and path search.
 
-Three mutually cross-checking resistance routes are provided:
+Three mutually cross-checking resistance routes work on the network:
 
-* ``exact-sp``   -- recursive series/parallel reduction over exact rationals,
+* ``exact-sp``   -- series/parallel reduction over exact rationals,
 * ``laplacian``  -- float solve of the grounded weighted Laplacian,
 * an exact rational solve of the same grounded Laplacian by the sparse
   minimum-degree kernel :func:`.linalg.solve_grounded_laplacian`, used by
   :func:`optimal_flow` and the span-program module; dense ``linalg.rref``
   now serves only ``lex_min_quadratics``.
+
+:func:`formula_resistance` never builds the network: it folds the formula
+tree with :func:`.formula.fold`, AND in series and OR in parallel (swapped
+for the dual).  Cut sizes come from the same fold over (min, +) and from one
+max-flow routine that :func:`cut_size` and :func:`witness_cut` share.  Edges
+are selected by :func:`.graphs.selector_from_assignment` and
+:func:`.graphs.subgraph` only.
 
 Disconnection is the first-class value ``INF`` from :mod:`.extended`.
 """
@@ -27,9 +34,9 @@ from .errors import (
     NotSeriesParallelError,
     SearchBudgetError,
 )
-from .extended import INF, parallel_sum
-from .formula import AND, Formula, as_bits
-from .graphs import Network
+from .extended import INF, parallel_sum, series_sum
+from .formula import Formula, as_bits, fold
+from .graphs import Network, selector_from_assignment, subgraph
 
 EXACT_SP = "exact-sp"
 LAPLACIAN = "laplacian"
@@ -65,25 +72,11 @@ def terminals_connected(net: Network) -> bool:
 
 def components(net: Network) -> dict:
     """Map vertex -> canonical component representative (first in vertex order)."""
-    parent = {v: v for v in net.vertices}
-
-    def find(v):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    index = {v: i for i, v in enumerate(net.vertices)}
-    for e in net.edges:
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            if index[ru] < index[rv]:
-                parent[rv] = ru
-            else:
-                parent[ru] = rv
-    return {v: find(v) for v in net.vertices}
+    rep = {}
+    for v in net.vertices:
+        if v not in rep:
+            rep.update(dict.fromkeys(_reach(net.edges, v), v))
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -257,25 +250,18 @@ def formula_resistance(f: Formula, x, weights=None, dual: bool = False):
     the dual fold uses their reciprocals automatically.
     """
     bits = as_bits(x, f.n_vars)
+    first = f.first_var
+    absent = 1 if dual else 0
 
-    def fold(g: Formula):
-        if g.is_leaf:
-            present = bits[g.var - f.first_var] ^ (1 if g.negated else 0)
-            if dual:
-                present ^= 1
-            if not present:
-                return INF
-            w = Fraction(weights[f"x{g.var}"]) if weights else Fraction(1)
-            return w if dual else 1 / w
-        series_gate = (g.kind == AND) if not dual else (g.kind != AND)
-        if series_gate:
-            total = Fraction(0)
-            for c in g.children:
-                total = total + fold(c)
-            return total
-        return parallel_sum(fold(c) for c in g.children)
+    def leaf(g: Formula):
+        if bits[g.var - first] ^ g.negated == absent:
+            return INF
+        w = Fraction(weights[f"x{g.var}"]) if weights else Fraction(1)
+        return w if dual else 1 / w
 
-    return fold(f)
+    if dual:
+        return fold(f, leaf, parallel_sum, series_sum)
+    return fold(f, leaf, series_sum, parallel_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +276,6 @@ class FlowAssignment:
 
     def value(self, u: str, v: str, label: str) -> Fraction:
         return self.values.get((u, v, label), Fraction(0))
-
-    def directed_support(self):
-        return [(key, val) for key, val in self.values.items() if val > 0]
 
     def net_out(self, vertex: str) -> Fraction:
         return sum((val for (u, _v, _l), val in self.values.items() if u == vertex),
@@ -462,22 +445,7 @@ class CutAssignment:
         return frozenset(v for v, bit in self.kappa.items() if bit == 1)
 
 
-def _present_edges(host: Network, x) -> tuple:
-    if host.formula is not None:
-        bits = as_bits(x, host.formula.n_vars)
-        negated = host.negated_labels
-        first = host.formula.first_var
-        by_label = {}
-        for i in range(host.formula.n_vars):
-            label = f"x{first + i}"
-            by_label[label] = bits[i]
-        return tuple(e for e in host.edges
-                     if by_label[e.label] ^ (1 if e.label in negated else 0))
-    bits = as_bits(x, len(host.edges))
-    return tuple(e for e in host.edges if bits[host.labels.index(e.label)])
-
-
-def _max_flow_value(n: int, capacity, adj, s: int, t: int) -> int:
+def _max_flow_value(capacity, adj, s: int, t: int) -> int:
     """Edmonds-Karp; mutates ``capacity`` into the residual capacities."""
     flow = 0
     while True:
@@ -511,89 +479,17 @@ MAXFLOW = "maxflow"
 SP_RECURSION = "sp-recursion"
 
 
-def _cut_size_maxflow(host: Network, x):
-    present = set(e.label for e in _present_edges(host, x))
-    sub = Network(host.vertices, host.s, host.t,
-                  tuple(e for e in host.edges if e.label in present))
-    if terminals_connected(sub):
-        return INF
-    big = len(host.edges) + 1
-    index = {v: i for i, v in enumerate(host.vertices)}
-    capacity = defaultdict(int)
-    adj = defaultdict(set)
-    for e in host.edges:
-        cap = big if e.label in present else 1
-        iu, iv = index[e.u], index[e.v]
-        capacity[(iu, iv)] += cap
-        capacity[(iv, iu)] += cap
-        adj[iu].add(iv)
-        adj[iv].add(iu)
-    return _max_flow_value(len(host.vertices), capacity, adj,
-                           index[host.s], index[host.t])
+def _min_cut(host: Network, x):
+    """Minimum count of host edges crossing an s-t cut that no selected edge
+    crosses, and the s-side the max-flow residual reaches.
 
-
-def _cut_size_recursive(f: Formula, bits, negated) -> object:
-    """Two-terminal cut size by structural recursion: series takes the min,
-    parallel adds, and a present edge counts as infinity."""
-
-    def fold(g: Formula):
-        if g.is_leaf:
-            present = bits[g.var - f.first_var] ^ (1 if g.var in negated else 0)
-            return INF if present else 1
-        if g.kind == AND:
-            return min(fold(c) for c in g.children)
-        total = 0
-        for c in g.children:
-            total = total + fold(c)
-        return total
-
-    return fold(f)
-
-
-def cut_size(host: Network, x, backend: str = MAXFLOW):
-    """Minimum number of host edges crossing any s-t cut of the selected
-    subgraph; INF when the terminals are connected."""
-    if backend == MAXFLOW:
-        return _cut_size_maxflow(host, x)
-    if backend == SP_RECURSION:
-        if host.formula is None:
-            raise ValueError("sp-recursion backend needs a formula-derived network")
-        f = host.formula
-        bits = as_bits(x, f.n_vars)
-        return _cut_size_recursive(f, bits, f.negated_vars())
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def witness_cut(host: Network, x) -> CutAssignment:
-    """A minimizing s-t cut of the selected subgraph.
-
-    Ties are broken deterministically: among minimum cuts, the s-side whose
-    characteristic vector over the sorted non-terminal vertices is smallest
-    is returned (small graphs); larger graphs fall back to the canonical
-    component-of-s cut.
+    Selected edges get capacity |E| + 1, so no minimum cut crosses one.
+    Returns None when the selected subgraph connects the terminals.
     """
-    present = set(e.label for e in _present_edges(host, x))
-    sub = Network(host.vertices, host.s, host.t,
-                  tuple(e for e in host.edges if e.label in present))
+    sub = subgraph(host, selector_from_assignment(host, x))
     if terminals_connected(sub):
-        raise DisconnectedError("terminals are connected; no cut exists")
-    free = [v for v in sorted(host.vertices) if v not in (host.s, host.t)]
-    if len(free) <= 16:
-        best = None
-        best_key = None
-        for mask in range(1 << len(free)):
-            kappa = {host.s: 1, host.t: 0}
-            for i, v in enumerate(free):
-                kappa[v] = (mask >> i) & 1
-            if any(kappa[e.u] != kappa[e.v] for e in sub.edges):
-                continue
-            crossing = sum(1 for e in host.edges if kappa[e.u] != kappa[e.v])
-            key = (crossing, tuple(kappa[v] for v in free))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = kappa
-        return CutAssignment(best)
-    # large graphs: the source side of the max-flow residual is a minimum cut
+        return None
+    present = {e.label for e in sub.edges}
     big = len(host.edges) + 1
     index = {v: i for i, v in enumerate(host.vertices)}
     capacity = defaultdict(int)
@@ -605,17 +501,52 @@ def witness_cut(host: Network, x) -> CutAssignment:
         capacity[(iv, iu)] += cap
         adj[iu].add(iv)
         adj[iv].add(iu)
-    _max_flow_value(len(host.vertices), capacity, adj, index[host.s], index[host.t])
-    reach = {index[host.s]}
-    stack = [index[host.s]]
+    s = index[host.s]
+    value = _max_flow_value(capacity, adj, s, index[host.t])
+    reach = {s}
+    stack = [s]
     while stack:
         u = stack.pop()
         for v in adj[u]:
             if v not in reach and capacity[(u, v)] > 0:
                 reach.add(v)
                 stack.append(v)
-    return CutAssignment({v: 1 if index[v] in reach else 0
-                          for v in host.vertices})
+    return value, {v for v in host.vertices if index[v] in reach}
+
+
+def cut_size(host: Network, x, backend: str = MAXFLOW):
+    """Minimum number of host edges crossing any s-t cut of the selected
+    subgraph; INF when the terminals are connected.
+
+    ``sp-recursion`` folds the formula over (min, +): series takes the min,
+    parallel adds, and a present edge counts as infinity.
+    """
+    if backend == MAXFLOW:
+        cut = _min_cut(host, x)
+        return INF if cut is None else cut[0]
+    if backend == SP_RECURSION:
+        if host.formula is None:
+            raise ValueError("sp-recursion backend needs a formula-derived network")
+        f = host.formula
+        bits = as_bits(x, f.n_vars)
+        first = f.first_var
+        return fold(f, lambda g: INF if bits[g.var - first] ^ g.negated else 1, min, sum)
+    raise ValueError(f"unknown backend {backend!r}")
+
+
+def witness_cut(host: Network, x) -> CutAssignment:
+    """A minimizing s-t cut of the selected subgraph.
+
+    The s-side is the set of vertices that the max-flow residual reaches from
+    s.  Among all minimum cuts it is the inclusion-minimal s-side, so its
+    characteristic vector over the sorted non-terminal vertices is also the
+    lexicographically smallest; the tie-break is the same on every size.
+    """
+    cut = _min_cut(host, x)
+    if cut is None:
+        raise DisconnectedError("terminals are connected; no cut exists")
+    s_side = cut[1]
+    return CutAssignment({v: 1 if v in s_side else 0 for v in host.vertices})
 
 
 # ---------------------------------------------------------------------------

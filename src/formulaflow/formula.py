@@ -24,6 +24,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -79,28 +80,18 @@ class Formula:
         return self.kind == LEAF
 
     def leaves(self) -> Iterator["Formula"]:
-        if self.is_leaf:
-            yield self
-        else:
-            for child in self.children:
-                yield from child.leaves()
+        return (g for g in postorder(self) if g.is_leaf)
 
     def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(c.depth() for c in self.children)
+        return fold(self, lambda g: 0, _deeper, _deeper)
 
     def max_fanin(self) -> int:
-        if self.is_leaf:
-            return 1
-        return max(len(self.children), max(c.max_fanin() for c in self.children))
+        return fold(self, lambda g: 1, _widest, _widest)
 
     def gate_depth(self, kind: str) -> int:
         """Largest number of ``kind``-gates on any root-to-leaf path."""
-        own = 1 if self.kind == kind else 0
-        if self.is_leaf:
-            return 0
-        return own + max(c.gate_depth(kind) for c in self.children)
+        return fold(self, lambda g: 0, _deeper if kind == AND else max,
+                    _deeper if kind == OR else max)
 
     def and_depth(self) -> int:
         return self.gate_depth(AND)
@@ -113,6 +104,14 @@ class Formula:
 
     def __str__(self):
         return render(self)
+
+
+def _deeper(values) -> int:
+    return 1 + max(values)
+
+
+def _widest(values) -> int:
+    return max(len(values), *values)
 
 
 def leaf(var: int, negated: bool = False) -> Formula:
@@ -202,9 +201,12 @@ def parse_formula(text: str) -> Formula:
         raise FormulaSyntaxError(f"trailing input {tok!r}", pos)
 
     # push negations to the leaves and flatten same-kind nesting
+    seen = []
+
     def normalize(node, neg):
         head = node[0]
         if head == "leaf":
+            seen.append(node[1])
             return ("leaf", node[1], neg)
         if head == "not":
             return normalize(node[1], not neg)
@@ -219,17 +221,6 @@ def parse_formula(text: str) -> Formula:
         return (kind, flat)
 
     norm = normalize(root, False)
-
-    seen = []
-
-    def collect(node):
-        if node[0] == "leaf":
-            seen.append(node[1])
-        else:
-            for child in node[1]:
-                collect(child)
-
-    collect(norm)
     duplicates = {v for v in seen if seen.count(v) > 1}
     if duplicates:
         raise ReadOnceError(f"variables repeated: {sorted(duplicates)}")
@@ -276,20 +267,42 @@ def as_bits(x, n: int) -> tuple:
     return bits
 
 
+def postorder(f: Formula) -> list:
+    """The nodes of ``f``, children left to right before their parent."""
+    order = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        order.append(g)
+        stack.extend(g.children)
+    order.reverse()
+    return order
+
+
+def fold(f: Formula, leaf, at_and, at_or):
+    """Post-order fold of ``f`` without Python recursion.
+
+    ``leaf(g)`` gives the value of leaf ``g``; ``at_and(values)`` and
+    ``at_or(values)`` combine the values of a gate's children, left to right.
+    """
+    values = []
+    for g in postorder(f):
+        if g.children:
+            k = len(g.children)
+            args = values[-k:]
+            del values[-k:]
+            values.append((at_and if g.kind == AND else at_or)(args))
+        else:
+            values.append(leaf(g))
+    return values[0]
+
+
 def eval_formula(f: Formula, x) -> int:
     """Evaluate ``f`` on assignment ``x`` (bit i instantiates x_{i+1})."""
     if f.first_var != 1:
         raise FormulaError("evaluation needs a canonically numbered formula")
     bits = as_bits(x, f.n_vars)
-
-    def ev(g: Formula) -> int:
-        if g.is_leaf:
-            return bits[g.var - 1] ^ (1 if g.negated else 0)
-        if g.kind == AND:
-            return 1 if all(ev(c) for c in g.children) else 0
-        return 1 if any(ev(c) for c in g.children) else 0
-
-    return ev(f)
+    return fold(f, lambda g: bits[g.var - 1] ^ g.negated, min, max)
 
 
 # ---------------------------------------------------------------------------
@@ -317,37 +330,30 @@ def build_nand_tree(d: int) -> Formula:
 
 def dual_formula(f: Formula) -> Formula:
     """Swap AND and OR gates; leaves (including negations) are unchanged."""
-    if f.is_leaf:
-        return f
-    kind = AND if f.kind == OR else OR
-    return gate(kind, [dual_formula(c) for c in f.children])
+    return fold(f, lambda g: g, partial(gate, OR), partial(gate, AND))
 
 
 def negate_formula(f: Formula) -> Formula:
     """Proper negation: gates swapped and leaf negations flipped."""
-    if f.is_leaf:
-        return leaf(f.var, negated=not f.negated)
-    kind = AND if f.kind == OR else OR
-    return gate(kind, [negate_formula(c) for c in f.children])
+    return fold(f, lambda g: leaf(g.var, negated=not g.negated),
+                partial(gate, OR), partial(gate, AND))
 
 
 def _shift(f: Formula, offset: int) -> Formula:
-    if f.is_leaf:
-        return leaf(f.var + offset, negated=f.negated)
-    return gate(f.kind, [_shift(c, offset) for c in f.children])
+    return fold(f, lambda g: leaf(g.var + offset, negated=g.negated),
+                partial(gate, AND), partial(gate, OR))
 
 
 def _flatten(f: Formula) -> Formula:
-    if f.is_leaf:
-        return f
-    merged = []
-    for child in f.children:
-        child = _flatten(child)
-        if child.kind == f.kind:
-            merged.extend(child.children)
-        else:
-            merged.append(child)
-    return gate(f.kind, merged)
+    def flat(kind):
+        def combine(children):
+            merged = []
+            for child in children:
+                merged.extend(child.children if child.kind == kind else (child,))
+            return gate(kind, merged)
+        return combine
+
+    return fold(f, lambda g: g, flat(AND), flat(OR))
 
 
 def compose(outer: Formula, inner: Formula) -> Formula:
@@ -360,13 +366,10 @@ def compose(outer: Formula, inner: Formula) -> Formula:
     n_inner = inner.n_vars
 
     def sub(g: Formula) -> Formula:
-        if g.is_leaf:
-            block = negate_formula(inner) if g.negated else inner
-            return _shift(block, (g.var - 1) * n_inner) if g.var > 1 else block
-        return gate(g.kind, [sub(c) for c in g.children])
+        block = negate_formula(inner) if g.negated else inner
+        return _shift(block, (g.var - 1) * n_inner) if g.var > 1 else block
 
-    result = sub(outer)
-    return _flatten(result) if not result.is_leaf else result
+    return _flatten(fold(outer, sub, partial(gate, AND), partial(gate, OR)))
 
 
 # ---------------------------------------------------------------------------

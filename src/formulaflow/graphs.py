@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Mapping, Sequence
 
 from .errors import AssignmentLengthError, LabelCollisionError
-from .formula import Formula, as_bits, dual_formula
+from .formula import Formula, as_bits, dual_formula, fold
 
 SERIES = "series"
 PARALLEL = "parallel"
@@ -76,7 +77,7 @@ class Network:
     def labels(self) -> tuple:
         return tuple(e.label for e in self.edges)
 
-    @property
+    @cached_property
     def negated_labels(self) -> frozenset:
         if self.formula is None:
             return frozenset()
@@ -84,10 +85,6 @@ class Network:
 
     def weight_map(self) -> dict:
         return {e.label: e.weight for e in self.edges}
-
-    def with_weights(self, weights: Mapping[str, Fraction]) -> "Network":
-        edges = tuple(replace(e, weight=Fraction(weights[e.label])) for e in self.edges)
-        return replace(self, edges=edges)
 
     def adjacency(self) -> dict:
         adj = {v: [] for v in self.vertices}
@@ -148,6 +145,15 @@ def compose_networks(mode: str, parts: Sequence[Network]) -> Network:
     return Network(tuple(vertices), "s", "t", tuple(edges))
 
 
+def _leaf_weight(weights, label: str) -> Fraction:
+    """The weight of ``label``: one when ``weights`` is empty, else its entry."""
+    if not weights:
+        return Fraction(1)
+    if label not in weights:
+        raise ValueError(f"weights give no value for label {label!r}")
+    return Fraction(weights[label])
+
+
 def formula_graph(f: Formula, weights: Mapping[str, Fraction] | None = None) -> Network:
     """The two-terminal series-parallel network of a read-once formula.
 
@@ -155,18 +161,8 @@ def formula_graph(f: Formula, weights: Mapping[str, Fraction] | None = None) -> 
     series, OR in parallel.  ``weights`` maps edge labels to rationals and
     defaults to all ones; a non-empty mapping must cover every label.
     """
-
-    def build(g: Formula) -> Network:
-        if g.is_leaf:
-            label = f"x{g.var}"
-            if weights and label not in weights:
-                raise ValueError(f"weights give no value for label {label!r}")
-            w = Fraction(weights[label]) if weights else Fraction(1)
-            return single_edge(label, w)
-        mode = SERIES if g.kind == "and" else PARALLEL
-        return compose_networks(mode, [build(c) for c in g.children])
-
-    net = build(f)
+    net = fold(f, lambda g: single_edge(f"x{g.var}", _leaf_weight(weights, f"x{g.var}")),
+               partial(compose_networks, SERIES), partial(compose_networks, PARALLEL))
     return replace(net, formula=f)
 
 
@@ -188,9 +184,9 @@ def dual_network(f: Formula, weights: Mapping[str, Fraction] | None = None) -> N
 
     Gates are swapped via the dual formula, terminals become ``s'``/``t'``,
     and each dual edge carries the reciprocal weight of its primal partner.
+    A non-empty ``weights`` must cover every label, as for the primal.
     """
-    base = weights or {}
-    dual_weights = {f"x{i}": 1 / Fraction(base.get(f"x{i}", 1))
+    dual_weights = {f"x{i}": 1 / _leaf_weight(weights, f"x{i}")
                     for i in range(f.first_var, f.first_var + f.n_vars)}
     net = formula_graph(dual_formula(f), dual_weights)
     return _rename_vertices(net, {"s": "s'", "t": "t'"})
@@ -222,10 +218,16 @@ class SubgraphSelector:
 
 
 def selector_from_assignment(net: Network, x, polarity: str = PRIMAL) -> SubgraphSelector:
-    """Build a selector for a formula-derived network from a plain assignment."""
-    if net.formula is None:
-        raise ValueError("assignment selectors need a formula-derived network")
+    """Build a selector from a plain assignment.
+
+    On a formula-derived network bit i sets the label ``x{first_var + i}``;
+    on any other network bit i sets the i-th edge, in edge order.
+    """
     f = net.formula
+    if f is None:
+        bits = as_bits(x, len(net.edges))
+        return SubgraphSelector({e.label: bits[i] for i, e in enumerate(net.edges)},
+                                polarity)
     bits = as_bits(x, f.n_vars)
     mapping = {f"x{f.first_var + i}": bits[i] for i in range(f.n_vars)}
     return SubgraphSelector(mapping, polarity)

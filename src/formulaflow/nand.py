@@ -31,22 +31,41 @@ def _depth_of(x_len: int) -> int:
     return d
 
 
-def subtree_resistance(bits, r: int):
-    """Exact resistance of the depth-r alternating-tree network on ``bits``.
+def _level_table(leaves, d: int, combine) -> list:
+    """Bottom-up table over the depth-d alternating tree.
+
+    ``table[d]`` holds the leaf values and ``table[level][pos]`` is
+    ``combine(r, left, right)`` for the node at distance ``r = d - level``
+    from the leaves, whose children sit at ``2 * pos`` and ``2 * pos + 1``.
+    """
+    if len(leaves) != 1 << d:
+        raise AssignmentLengthError("bit count must be 2^r")
+    table = [None] * d + [list(leaves)]
+    for level in range(d - 1, -1, -1):
+        below = table[level + 1]
+        table[level] = [combine(d - level, below[i], below[i + 1])
+                        for i in range(0, len(below), 2)]
+    return table
+
+
+def _resistance_table(bits, d: int) -> list:
+    """Exact resistances of every subtree on ``bits``.
 
     A node at odd distance from the leaves composes in series, at even
     distance (> 0) in parallel; a present leaf is a unit edge.
     """
-    if len(bits) != 1 << r:
-        raise AssignmentLengthError("bit count must be 2^r")
-    if r == 0:
-        return Fraction(1) if bits[0] else INF
-    half = 1 << (r - 1)
-    left = subtree_resistance(bits[:half], r - 1)
-    right = subtree_resistance(bits[half:], r - 1)
-    if r % 2 == 1:
-        return left + right
-    return parallel_sum((left, right))
+    return _level_table([Fraction(1) if b else INF for b in bits], d,
+                        lambda r, left, right: left + right if r % 2 == 1
+                        else parallel_sum((left, right)))
+
+
+def subtree_resistance(bits, r: int):
+    """Exact resistance of the depth-r alternating-tree network on ``bits``.
+
+    Read off the bottom-up level table that :func:`simulate_game` plays on;
+    it does not use the formula fold behind ``formula_resistance``.
+    """
+    return _resistance_table(bits, r)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +100,8 @@ def fault_complexity(d: int, x) -> FaultReport:
     """
     bits = as_bits(x, 1 << d)
 
-    def rec(lo: int, hi: int, r: int):
-        if r == 0:
-            v = bits[lo]
-            return v, (0 if v == 1 else None), (0 if v == 0 else None)
-        mid = (lo + hi) // 2
-        v0, a0, b0 = rec(lo, mid, r - 1)
-        v1, a1, b1 = rec(mid, hi, r - 1)
+    def step(r: int, left, right):
+        (v0, a0, b0), (v1, a1, b1) = left, right
         fault = v0 != v1
         if r % 2 == 1:
             # odd distance from the leaves: AND gate, player B decides
@@ -107,7 +121,8 @@ def fault_complexity(d: int, x) -> FaultReport:
                 ga = None
         return v, ga, gb
 
-    value, g_a, g_b = rec(0, len(bits), d)
+    leaves = [(v, 0 if v == 1 else None, 0 if v == 0 else None) for v in bits]
+    value, g_a, g_b = _level_table(leaves, d, step)[0][0]
     f_a = Fraction(2) ** g_a if g_a is not None else INF
     f_b = Fraction(2) ** g_b if g_b is not None else INF
     return FaultReport(f_a, f_b, min(f_a, f_b), g_a, g_b, value == 1)
@@ -261,23 +276,12 @@ def simulate_game(d: int, x, seed: int, reps: int,
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     bits = as_bits(x, 1 << d)
-    root_r = subtree_resistance(bits, d)
+    table = _resistance_table(bits, d)
+    root_r = table[0][0]
     if root_r is INF:
         raise DisconnectedError("instance is not A-winnable")
     if keep_transcripts is None:
         keep_transcripts = reps <= 64
-
-    # all subtree resistances, indexed by (level, position)
-    table = [[None] * (1 << level) for level in range(d + 1)]
-    for pos in range(1 << d):
-        table[d][pos] = Fraction(1) if bits[pos] else INF
-    for level in range(d - 1, -1, -1):
-        r = d - level
-        for pos in range(1 << level):
-            left = table[level + 1][2 * pos]
-            right = table[level + 1][2 * pos + 1]
-            table[level][pos] = (left + right) if r % 2 == 1 \
-                else parallel_sum((left, right))
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     b_levels = [level for level in range(d) if (d - level) % 2 == 1]

@@ -35,7 +35,7 @@ from .electrical import (
 from .errors import DisconnectedError
 from .extended import INF, as_float
 from .formula import AND, Formula, as_bits, eval_formula
-from .graphs import Edge, Network
+from .graphs import Edge, Network, selector_from_assignment, subgraph
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -85,25 +85,6 @@ def target_vector(program: SpanProgram) -> np.ndarray:
     return program.tau
 
 
-def _presence(program: SpanProgram, x) -> dict:
-    net = program.network
-    if net.formula is not None:
-        bits = as_bits(x, net.formula.n_vars)
-        first = net.formula.first_var
-        negated = net.negated_labels
-        return {f"x{first + i}": bits[i] ^ (1 if f"x{first + i}" in negated else 0)
-                for i in range(net.formula.n_vars)}
-    bits = as_bits(x, len(net.edges))
-    return {e.label: bits[i] for i, e in enumerate(net.edges)}
-
-
-def _selected_subgraph(program: SpanProgram, x) -> Network:
-    net = program.network
-    presence = _presence(program, x)
-    return Network(net.vertices, net.s, net.t,
-                   tuple(e for e in net.edges if presence[e.label]))
-
-
 @dataclass(frozen=True)
 class WitnessReport:
     """Outcome of one witness computation.
@@ -127,7 +108,7 @@ def positive_witness(program: SpanProgram, x) -> WitnessReport:
     """Minimum squared norm of an edge-space vector reaching the target over
     the available edges; INF when the selected subgraph is disconnected."""
     net = program.network
-    sub = _selected_subgraph(program, x)
+    sub = subgraph(net, selector_from_assignment(net, x))
     solved = solve_potentials_exact(sub)
     if solved is None:
         return WitnessReport(POSITIVE, INF, math.inf, Fraction(0), None, 0.0)
@@ -154,7 +135,7 @@ def negative_witness(program: SpanProgram, x) -> WitnessReport:
     minimize twice the weighted Dirichlet energy over all host edges.
     """
     net = program.network
-    comp = components(_selected_subgraph(program, x))
+    comp = components(subgraph(net, selector_from_assignment(net, x)))
     cs, ct = comp[net.s], comp[net.t]
     if cs == ct:
         return WitnessReport(NEGATIVE, INF, math.inf, Fraction(0), None, 0.0)
@@ -231,9 +212,9 @@ def approx_positive_witness(program: SpanProgram, x) -> WitnessReport:
         raise DisconnectedError("host network never connects its terminals")
     a = span_matrix(program)
     tau = target_vector(program)
-    presence = _presence(program, x)
+    present = {e.label for e in subgraph(net, selector_from_assignment(net, x)).edges}
     absent = [i for i, (u, v, label) in enumerate(program.directed)
-              if not presence[label]]
+              if label not in present]
     w0, *_ = np.linalg.lstsq(a, tau, rcond=None)
     basis = _null_space_float(a)
     mask = np.zeros((len(absent), len(program.directed)))
@@ -250,9 +231,9 @@ def approx_negative_witness(program: SpanProgram, x) -> WitnessReport:
     """Two-stage solve over vertex functionals with omega(tau) = 1."""
     net = program.network
     a = span_matrix(program)
-    presence = _presence(program, x)
+    present = {e.label for e in subgraph(net, selector_from_assignment(net, x)).edges}
     present_cols = [i for i, (u, v, label) in enumerate(program.directed)
-                    if presence[label]]
+                    if label in present]
     n = len(net.vertices)
     v0 = np.zeros(n)
     v0[program.vertex_index[net.s]] = 1.0
@@ -286,7 +267,7 @@ def _exact_nested(program: SpanProgram, x, kind: str):
     Gram matrices are (twice) the weighted Laplacians.
     """
     net = program.network
-    presence = _presence(program, x)
+    present = {e.label for e in subgraph(net, selector_from_assignment(net, x)).edges}
     weights = net.weight_map()
     nvert = len(net.vertices)
     vidx = program.vertex_index
@@ -304,7 +285,7 @@ def _exact_nested(program: SpanProgram, x, kind: str):
         for col, (u, v, label) in enumerate(program.directed):
             inv = 1 / Fraction(weights[label])
             q2[col][col] = inv
-            if not presence[label]:
+            if label not in present:
                 q1[col][col] = inv
         _vec, (err, size) = linalg.lex_min_quadratics(eq, rhs, [q1, q2])
         return err, size
@@ -327,7 +308,7 @@ def _exact_nested(program: SpanProgram, x, kind: str):
             lap[iv][iu] -= w
         return [[2 * val for val in row] for row in lap]
 
-    q1 = laplacian(lambda e: presence[e.label])
+    q1 = laplacian(lambda e: e.label in present)
     q2 = laplacian(lambda e: True)
     _vec, (err, size) = linalg.lex_min_quadratics(eq, rhs, [q1, q2])
     return err, size

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from .formula import (
     enumerate_composed_domain,
     enumerate_formulas,
     eval_formula,
+    fold,
     random_formula,
     uniform_formula,
 )
@@ -164,15 +167,8 @@ def _check_formula_connectivity(f: Formula, chunk_bits: int = 20) -> bool:
     dual_paths = _path_var_lists(dnet)
 
     def value_vector(cols):
-        def ev(g):
-            if g.is_leaf:
-                col = cols[g.var - 1]
-                return ~col if g.negated else col
-            acc = ev(g.children[0])
-            for c in g.children[1:]:
-                acc = (acc & ev(c)) if g.kind == "and" else (acc | ev(c))
-            return acc
-        return ev(f)
+        return fold(f, lambda g: ~cols[g.var - 1] if g.negated else cols[g.var - 1],
+                    partial(reduce, operator.and_), partial(reduce, operator.or_))
 
     total = 1 << n
     step = min(total, 1 << chunk_bits)
@@ -238,25 +234,22 @@ def _float_resistance_profile(f: Formula, weights, dual: bool) -> np.ndarray:
     cols = [((idx >> np.uint64(n - 1 - j)) & np.uint64(1)).astype(bool)
             for j in range(n)]
 
-    def fold(g):
-        if g.is_leaf:
-            present = cols[g.var - 1]
-            if g.negated:
-                present = ~present
-            if dual:
-                present = ~present
-            w = float(weights[f"x{g.var}"]) if weights else 1.0
-            unit = w if dual else 1.0 / w
-            return np.where(present, unit, np.inf)
-        series_gate = (g.kind == "and") if not dual else (g.kind != "and")
-        parts = [fold(c) for c in g.children]
-        if series_gate:
-            return sum(parts)
+    def leaf(g):
+        present = cols[g.var - 1]
+        if g.negated:
+            present = ~present
+        if dual:
+            present = ~present
+        w = float(weights[f"x{g.var}"]) if weights else 1.0
+        unit = w if dual else 1.0 / w
+        return np.where(present, unit, np.inf)
+
+    def parallel(parts):
         with np.errstate(divide="ignore"):
             cond = sum(1.0 / p for p in parts)
             return np.where(cond > 0, 1.0 / np.where(cond > 0, cond, 1.0), np.inf)
 
-    return fold(f)
+    return fold(f, leaf, parallel, sum) if dual else fold(f, leaf, sum, parallel)
 
 
 def _exact_extrema(f: Formula, weights) -> tuple:

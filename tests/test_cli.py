@@ -186,6 +186,16 @@ def test_partial_weights_exit_one(capsys, tmp_path):
     assert err.startswith("error:") and "'x2'" in err
 
 
+@pytest.mark.parametrize("argv", [["graph", "--dual"], ["resist", "--dual", "-x", "00"]])
+def test_dual_partial_weights_exit_one(capsys, tmp_path, argv):
+    path = tmp_path / "w.json"
+    path.write_text('{"x1": "2"}')
+    code, out, err = run(capsys, *argv, "-f", "x1&x2", "--weights", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "'x2'" in err
+
+
 def test_missing_weights_file_exits_one(capsys, tmp_path):
     code, _out, err = run(capsys, "witness", "-f", "x1&x2", "-x", "11",
                           "--weights", str(tmp_path / "absent.json"))

@@ -371,8 +371,8 @@ def test_witness_cut_prefers_far_side_when_cheaper():
     assert cut_size(net, "000000", MAXFLOW) == 1
 
 
-def test_witness_cut_large_graph_residual_fallback():
-    # depth-5 alternating tree: 23 vertices, beyond the enumeration budget
+def test_witness_cut_depth5_tree():
+    # depth-5 alternating tree: 23 vertices
     f = build_nand_tree(5)
     net = formula_graph(f)
     assert len(net.vertices) == 23
@@ -389,6 +389,73 @@ def test_witness_cut_large_graph_residual_fallback():
         sub = subgraph(net, selector_from_assignment(net, x))
         assert not kappa.crossing_edges(sub)
         checked += 1
+
+
+def brute_force_witness_cut(host, x):
+    """Reference minimum cut by enumerating every 0/1 labelling of the
+    non-terminal vertices that no selected edge crosses.  The fewest crossing
+    host edges win; ties go to the smallest characteristic vector over the
+    sorted non-terminal vertices."""
+    sub = subgraph(host, selector_from_assignment(host, x))
+    free = [v for v in sorted(host.vertices) if v not in (host.s, host.t)]
+    best = best_key = None
+    for mask in range(1 << len(free)):
+        kappa = {host.s: 1, host.t: 0}
+        for i, v in enumerate(free):
+            kappa[v] = (mask >> i) & 1
+        if any(kappa[e.u] != kappa[e.v] for e in sub.edges):
+            continue
+        crossing = sum(1 for e in host.edges if kappa[e.u] != kappa[e.v])
+        key = (crossing, tuple(kappa[v] for v in free))
+        if best_key is None or key < best_key:
+            best, best_key = kappa, key
+    return best
+
+
+def negate_some(rng, f, rate=0.3):
+    if f.is_leaf:
+        return leaf(f.var, negated=bool(rng.random() < rate))
+    return gate(f.kind, [negate_some(rng, c, rate) for c in f.children])
+
+
+@pytest.mark.parametrize("negated_and_weighted", [False, True])
+def test_witness_cut_matches_brute_force(negated_and_weighted):
+    rng = np.random.default_rng(37 + negated_and_weighted)
+    zero_inputs = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        f = random_formula(rng, n) if n > 1 else leaf(1)
+        weights = None
+        if negated_and_weighted:
+            f = negate_some(rng, f)
+            weights = {f"x{i + 1}": Fraction(int(rng.integers(1, 10)),
+                                             int(rng.integers(1, 10)))
+                       for i in range(n)}
+        net = formula_graph(f, weights)
+        for x in all_inputs(n):
+            if eval_formula(f, x) == 1:
+                with pytest.raises(DisconnectedError):
+                    witness_cut(net, x)
+                continue
+            kappa = witness_cut(net, x).kappa
+            assert kappa == brute_force_witness_cut(net, x)
+            assert sum(1 for e in net.edges if kappa[e.u] != kappa[e.v]) \
+                == cut_size(net, x, MAXFLOW) == cut_size(net, x, SP_RECURSION)
+            zero_inputs += 1
+    assert zero_inputs > 1000
+
+
+def test_witness_cut_matches_brute_force_on_plain_hosts():
+    # Wheatstone bridge and K4, selected in edge order
+    pairs = [("s", "a"), ("s", "b"), ("a", "b"), ("a", "t"), ("b", "t")]
+    for pairs in (pairs, pairs + [("s", "t")]):
+        net = Network(("s", "a", "b", "t"), "s", "t",
+                      tuple(Edge(u, v, f"e{i}", Fraction(i + 1, 2))
+                            for i, (u, v) in enumerate(pairs)))
+        for x in all_inputs(len(pairs)):
+            if cut_size(net, x, MAXFLOW) is INF:
+                continue
+            assert witness_cut(net, x).kappa == brute_force_witness_cut(net, x)
 
 
 def test_cut_equals_shortest_dual_path():

@@ -1,0 +1,139 @@
+"""The formula-tree fold against independent routes, and on deep trees.
+
+``formula_resistance``, the (min, +) cut recursion and ``eval_formula`` all
+run on ``formula.fold``.  These tests compare each of them with a route that
+does not use the fold: series-parallel reduction and the float Laplacian of
+the selected network, max-flow, and graph connectivity.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from formulaflow import (
+    DUAL,
+    EXACT_SP,
+    INF,
+    LAPLACIAN,
+    MAXFLOW,
+    PRIMAL,
+    SP_RECURSION,
+    cut_size,
+    dual_network,
+    effective_resistance,
+    eval_formula,
+    formula_graph,
+    formula_resistance,
+    gate,
+    leaf,
+    parallel_sum,
+    random_formula,
+    selector_from_assignment,
+    subgraph,
+)
+from formulaflow.electrical import terminals_connected
+from formulaflow.formula import AND, OR
+
+
+def with_negations(f, negated):
+    if f.is_leaf:
+        return leaf(f.var, negated=negated[f.var - 1])
+    return gate(f.kind, [with_negations(c, negated) for c in f.children])
+
+
+@st.composite
+def weighted_instances(draw, max_vars=10):
+    """A random formula with negated leaves, rational weights and an input."""
+    n = draw(st.integers(min_value=1, max_value=max_vars))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    f = random_formula(np.random.default_rng(seed), n) if n > 1 else leaf(1)
+    f = with_negations(f, draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    ratios = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                           min_size=n, max_size=n))
+    weights = {f"x{i + 1}": Fraction(p, q) for i, (p, q) in enumerate(ratios)}
+    x = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return f, weights, x
+
+
+def selected(host, x, polarity):
+    return subgraph(host, selector_from_assignment(host, x, polarity))
+
+
+@given(weighted_instances())
+@settings(max_examples=200, deadline=None)
+def test_fold_resistance_matches_reduction_and_laplacian(instance):
+    f, weights, x = instance
+    hosts = ((False, formula_graph(f, weights), PRIMAL),
+             (True, dual_network(f, weights), DUAL))
+    for dual, host, polarity in hosts:
+        sub = selected(host, x, polarity)
+        r = formula_resistance(f, x, weights, dual=dual)
+        assert r == effective_resistance(sub, EXACT_SP)
+        r_float = effective_resistance(sub, LAPLACIAN)
+        if r is INF:
+            assert math.isinf(r_float)
+        else:
+            assert abs(r_float - float(r)) <= 1e-9 * max(1.0, float(r))
+
+
+@given(weighted_instances())
+@settings(max_examples=200, deadline=None)
+def test_fold_cut_matches_maxflow(instance):
+    f, weights, x = instance
+    net = formula_graph(f, weights)
+    assert cut_size(net, x, SP_RECURSION) == cut_size(net, x, MAXFLOW)
+
+
+@given(weighted_instances())
+@settings(max_examples=200, deadline=None)
+def test_fold_evaluation_matches_connectivity(instance):
+    f, weights, x = instance
+    value = eval_formula(f, x)
+    assert terminals_connected(selected(formula_graph(f, weights), x, PRIMAL)) == (value == 1)
+    assert terminals_connected(selected(dual_network(f, weights), x, DUAL)) == (value == 0)
+
+
+# ---------------------------------------------------------------------------
+# deep trees: no result depends on the recursion limit
+# ---------------------------------------------------------------------------
+
+LEVELS = 5000
+
+
+@pytest.mark.parametrize("first_bit", [0, 1])
+def test_fold_on_deep_alternating_chain(first_bit):
+    # gate k joins the chain built so far with the fresh leaf x_{k+2}; kinds
+    # alternate from an innermost AND.  AND-side leaves are 1 and OR-side
+    # leaves 0, so no gate's value is settled before its deep child.
+    f = leaf(1)
+    bits = [first_bit]
+    kinds = []
+    for k in range(LEVELS):
+        kind = AND if k % 2 == 0 else OR
+        f = gate(kind, [f, leaf(k + 2)])
+        bits.append(1 if kind == AND else 0)
+        kinds.append(kind)
+    assert f.n_vars == LEVELS + 1
+
+    value = bits[0]
+    r = Fraction(1) if bits[0] else INF
+    r_dual = INF if bits[0] else Fraction(1)
+    for kind, bit in zip(kinds, bits[1:]):
+        edge = Fraction(1) if bit else INF
+        dual_edge = INF if bit else Fraction(1)
+        if kind == AND:
+            value = value & bit
+            r = r + edge
+            r_dual = parallel_sum((r_dual, dual_edge))
+        else:
+            value = value | bit
+            r = parallel_sum((r, edge))
+            r_dual = r_dual + dual_edge
+
+    assert eval_formula(f, bits) == value == first_bit
+    assert formula_resistance(f, bits) == r
+    assert formula_resistance(f, bits, dual=True) == r_dual
+    assert (r is INF) != (r_dual is INF)

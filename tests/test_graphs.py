@@ -128,6 +128,13 @@ def test_partial_weights_name_the_missing_label():
     assert formula_graph(f, {}) == formula_graph(f, None) == formula_graph(f)
 
 
+def test_dual_partial_weights_name_the_missing_label():
+    f = parse_formula("x1&x2")
+    with pytest.raises(ValueError, match="'x2'"):
+        dual_network(f, {"x1": Fraction(2)})
+    assert dual_network(f, {}) == dual_network(f, None) == dual_network(f)
+
+
 # ---------------------------------------------------------------------------
 # duality
 # ---------------------------------------------------------------------------
@@ -217,6 +224,21 @@ def test_negated_leaf_flips_presence():
     assert sorted(e.label for e in sub.edges) == ["x1", "x2"]
     sub2 = subgraph(net, selector_from_assignment(net, "11"))
     assert [e.label for e in sub2.edges] == ["x2"]
+
+
+def test_selection_on_plain_network_follows_edge_order():
+    net = from_json(export(formula_graph(parse_formula("x1&(x2|x3)"))))
+    assert net.formula is None
+    sel = selector_from_assignment(net, "011")
+    assert [e.label for e in subgraph(net, sel).edges] == ["x2", "x3"]
+    dual_sel = selector_from_assignment(net, "011", DUAL)
+    assert [e.label for e in subgraph(net, dual_sel).edges] == ["x1"]
+
+
+def test_negated_labels_computed_once():
+    net = formula_graph(parse_formula("~x1&(x2|~x3)"))
+    assert net.negated_labels == {"x1", "x3"}
+    assert net.negated_labels is net.negated_labels
 
 
 # ---------------------------------------------------------------------------
