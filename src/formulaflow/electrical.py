@@ -10,11 +10,13 @@ Three mutually cross-checking resistance routes work on the network:
   now serves only ``lex_min_quadratics``.
 
 :func:`formula_resistance` never builds the network: it folds the formula
-tree with :func:`.formula.fold`, AND in series and OR in parallel (swapped
-for the dual).  Cut sizes come from the same fold over (min, +) and from one
-max-flow routine that :func:`cut_size` and :func:`witness_cut` share.  Edges
-are selected by :func:`.graphs.selector_from_assignment` and
-:func:`.graphs.subgraph` only.
+tree with :func:`.formula.fold` over reduced ``(numerator, denominator)``
+pairs of ints, ``(1, 0)`` marking an open branch.  AND adds resistances in
+series and OR adds conductances in parallel (swapped for the dual), with one
+``math.gcd`` per gate; only the root builds a ``Fraction``, or ``INF``.  Cut
+sizes come from a fold over (min, +) and from one max-flow routine that
+:func:`cut_size` and :func:`witness_cut` share.  Edges are selected by
+:func:`.graphs.selector_from_assignment` and :func:`.graphs.subgraph` only.
 
 Disconnection is the first-class value ``INF`` from :mod:`.extended`.
 """
@@ -34,9 +36,9 @@ from .errors import (
     NotSeriesParallelError,
     SearchBudgetError,
 )
-from .extended import INF, parallel_sum, series_sum
+from .extended import INF, parallel_sum
 from .formula import Formula, as_bits, fold
-from .graphs import Network, selector_from_assignment, subgraph
+from .graphs import Network, _leaf_weight, selector_from_assignment, subgraph
 
 EXACT_SP = "exact-sp"
 LAPLACIAN = "laplacian"
@@ -241,13 +243,30 @@ def effective_resistance(net: Network, backend: str = EXACT_SP):
     raise ValueError(f"unknown backend {backend!r}")
 
 
+def _series(pairs) -> tuple:
+    """Sum of resistances given as ``(p, q)`` pairs; ``(1, 0)`` is open."""
+    p, q = 0, 1
+    for a, b in pairs:
+        if not b:
+            return 1, 0
+        p, q = p * b + a * q, q * b
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def _parallel(pairs) -> tuple:
+    """Parallel bank of ``(p, q)`` resistances: the conductances add."""
+    q, p = _series([(b, a) for a, b in pairs])
+    return p, q
+
+
 def formula_resistance(f: Formula, x, weights=None, dual: bool = False):
     """Exact resistance of the input-selected formula network, by tree fold.
 
     With ``dual=True`` this is the resistance of the dual network on the
     complementary selection, i.e. the quantity paired with the primal one by
-    the structural duality.  Weights map labels to rationals (default ones);
-    the dual fold uses their reciprocals automatically.
+    the structural duality.  Weights map labels to positive rationals
+    (default ones); the dual fold uses their reciprocals automatically.
     """
     bits = as_bits(x, f.n_vars)
     first = f.first_var
@@ -255,13 +274,12 @@ def formula_resistance(f: Formula, x, weights=None, dual: bool = False):
 
     def leaf(g: Formula):
         if bits[g.var - first] ^ g.negated == absent:
-            return INF
-        w = Fraction(weights[f"x{g.var}"]) if weights else Fraction(1)
-        return w if dual else 1 / w
+            return 1, 0
+        w = _leaf_weight(weights, f"x{g.var}")
+        return (w.numerator, w.denominator) if dual else (w.denominator, w.numerator)
 
-    if dual:
-        return fold(f, leaf, parallel_sum, series_sum)
-    return fold(f, leaf, series_sum, parallel_sum)
+    p, q = fold(f, leaf, _parallel, _series) if dual else fold(f, leaf, _series, _parallel)
+    return Fraction(p, q) if q else INF
 
 
 # ---------------------------------------------------------------------------

@@ -119,14 +119,6 @@ def recip(value: ExtRational) -> ExtRational:
     return 1 / value
 
 
-def series_sum(values) -> ExtRational:
-    """Resistance of a series chain: plain extended sum."""
-    total: ExtRational = Fraction(0)
-    for v in values:
-        total = total + v
-    return total
-
-
 def parallel_sum(values) -> ExtRational:
     """Resistance of a parallel bank: conductances add."""
     conductance: ExtRational = Fraction(0)

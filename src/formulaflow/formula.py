@@ -23,8 +23,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -79,8 +80,13 @@ class Formula:
     def is_leaf(self) -> bool:
         return self.kind == LEAF
 
+    @cached_property
+    def _order(self) -> list:
+        """``postorder(self)``, walked once and kept for every later fold."""
+        return postorder(self)
+
     def leaves(self) -> Iterator["Formula"]:
-        return (g for g in postorder(self) if g.is_leaf)
+        return (g for g in self._order if g.is_leaf)
 
     def depth(self) -> int:
         return fold(self, lambda g: 0, _deeper, _deeper)
@@ -221,7 +227,7 @@ def parse_formula(text: str) -> Formula:
         return (kind, flat)
 
     norm = normalize(root, False)
-    duplicates = {v for v in seen if seen.count(v) > 1}
+    duplicates = [v for v, k in Counter(seen).items() if k > 1]
     if duplicates:
         raise ReadOnceError(f"variables repeated: {sorted(duplicates)}")
 
@@ -284,9 +290,12 @@ def fold(f: Formula, leaf, at_and, at_or):
 
     ``leaf(g)`` gives the value of leaf ``g``; ``at_and(values)`` and
     ``at_or(values)`` combine the values of a gate's children, left to right.
+    The order is walked by :func:`postorder` once per node object and kept in
+    its instance ``__dict__``; it is not a field, so ``==``, ``hash`` and
+    ``repr`` ignore it, and every later fold of the same node reuses it.
     """
     values = []
-    for g in postorder(f):
+    for g in f._order:
         if g.children:
             k = len(g.children)
             args = values[-k:]

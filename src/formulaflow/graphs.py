@@ -146,12 +146,16 @@ def compose_networks(mode: str, parts: Sequence[Network]) -> Network:
 
 
 def _leaf_weight(weights, label: str) -> Fraction:
-    """The weight of ``label``: one when ``weights`` is empty, else its entry."""
+    """The weight of ``label``: one when ``weights`` is empty, else its entry,
+    which must be positive."""
     if not weights:
         return Fraction(1)
     if label not in weights:
         raise ValueError(f"weights give no value for label {label!r}")
-    return Fraction(weights[label])
+    w = Fraction(weights[label])
+    if w.numerator <= 0:
+        raise ValueError(f"edge {label!r} needs a positive rational weight")
+    return w
 
 
 def formula_graph(f: Formula, weights: Mapping[str, Fraction] | None = None) -> Network:

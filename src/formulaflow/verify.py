@@ -152,23 +152,34 @@ def check_witness_resistance() -> CriterionResult:
 # 2. connectivity matches evaluation, both sides
 # ---------------------------------------------------------------------------
 
-def _path_var_lists(net, budget=40):
-    paths = simple_st_paths(net, budget)
-    return [[int(e.label[1:]) - 1 for e in path] for path in paths]
+def _path_literals(net, dual: bool, budget=40):
+    """Each simple s-t path as ``(bit index, flip)`` pairs.  A path edge is
+    present on an input when its bit XOR ``flip`` is 1: negated leaves flip
+    on the primal side, unnegated leaves on the dual side."""
+    negated = net.negated_labels
+    return [[(int(e.label[1:]) - 1, (e.label in negated) != dual) for e in path]
+            for path in simple_st_paths(net, budget)]
 
 
 def _check_formula_connectivity(f: Formula, chunk_bits: int = 20) -> bool:
     """Graph-search connectivity of the selected subgraph must equal the
     formula value on every input, and the dual must be its complement."""
     n = f.n_vars
-    net = formula_graph(f)
-    dnet = dual_network(f)
-    primal_paths = _path_var_lists(net)
-    dual_paths = _path_var_lists(dnet)
+    primal_paths = _path_literals(formula_graph(f), dual=False)
+    dual_paths = _path_literals(dual_network(f), dual=True)
 
     def value_vector(cols):
         return fold(f, lambda g: ~cols[g.var - 1] if g.negated else cols[g.var - 1],
                     partial(reduce, operator.and_), partial(reduce, operator.or_))
+
+    def connected(paths, cols):
+        conn = np.zeros(len(cols[0]), dtype=bool)
+        for path in paths:
+            term = np.ones(len(cols[0]), dtype=bool)
+            for var, flip in path:
+                term &= ~cols[var] if flip else cols[var]
+            conn |= term
+        return conn
 
     total = 1 << n
     step = min(total, 1 << chunk_bits)
@@ -177,21 +188,9 @@ def _check_formula_connectivity(f: Formula, chunk_bits: int = 20) -> bool:
         cols = [((idx >> np.uint64(n - 1 - j)) & np.uint64(1)).astype(bool)
                 for j in range(n)]
         value = value_vector(cols)
-        conn = np.zeros(len(idx), dtype=bool)
-        for path in primal_paths:
-            term = np.ones(len(idx), dtype=bool)
-            for var in path:
-                term &= cols[var]
-            conn |= term
-        dconn = np.zeros(len(idx), dtype=bool)
-        for path in dual_paths:
-            term = np.ones(len(idx), dtype=bool)
-            for var in path:
-                term &= ~cols[var]
-            dconn |= term
-        if not np.array_equal(conn, value):
+        if not np.array_equal(connected(primal_paths, cols), value):
             return False
-        if not np.array_equal(dconn, ~value):
+        if not np.array_equal(connected(dual_paths, cols), ~value):
             return False
     return True
 

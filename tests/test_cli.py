@@ -196,6 +196,19 @@ def test_dual_partial_weights_exit_one(capsys, tmp_path, argv):
     assert err.startswith("error:") and "'x2'" in err
 
 
+@pytest.mark.parametrize("bad", ["0", "-2"])
+@pytest.mark.parametrize("argv", [["graph"], ["graph", "--dual"], ["resist", "-x", "11"],
+                                  ["resist", "--dual", "-x", "00"]])
+def test_nonpositive_weights_exit_one(capsys, tmp_path, argv, bad):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"x1": bad, "x2": "1"}))
+    code, out, err = run(capsys, *argv, "-f", "x1&x2", "--weights", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: edge 'x1' needs a positive rational weight")
+    assert "Traceback" not in err
+
+
 def test_missing_weights_file_exits_one(capsys, tmp_path):
     code, _out, err = run(capsys, "witness", "-f", "x1&x2", "-x", "11",
                           "--weights", str(tmp_path / "absent.json"))

@@ -58,6 +58,16 @@ def line(n):
 # effective resistance
 # ---------------------------------------------------------------------------
 
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("bad", [Fraction(0), Fraction(-2)])
+def test_formula_resistance_rejects_nonpositive_weights(bad, dual):
+    f = parse_formula("x1&(x2|x3)")
+    weights = {"x1": bad, "x2": Fraction(1), "x3": Fraction(1)}
+    x = (0, 0, 0) if dual else (1, 1, 1)
+    with pytest.raises(ValueError, match="edge 'x1' needs a positive rational weight"):
+        formula_resistance(f, x, weights, dual=dual)
+
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_path_resistance_is_length(n):
     assert effective_resistance(line(n)) == n

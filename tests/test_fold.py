@@ -3,9 +3,12 @@
 ``formula_resistance``, the (min, +) cut recursion and ``eval_formula`` all
 run on ``formula.fold``.  These tests compare each of them with a route that
 does not use the fold: series-parallel reduction and the float Laplacian of
-the selected network, max-flow, and graph connectivity.
+the selected network, max-flow, graph connectivity and both span-program
+witness sizes.  They also check that the fold's cached post-order is walked
+once per formula and leaves equality, hashing and ``repr`` alone.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,7 +24,9 @@ from formulaflow import (
     MAXFLOW,
     PRIMAL,
     SP_RECURSION,
+    build_span_program,
     cut_size,
+    dual_formula,
     dual_network,
     effective_resistance,
     eval_formula,
@@ -29,13 +34,19 @@ from formulaflow import (
     formula_resistance,
     gate,
     leaf,
+    negate_formula,
+    negative_witness,
     parallel_sum,
+    parse_formula,
+    positive_witness,
     random_formula,
     selector_from_assignment,
     subgraph,
 )
+from formulaflow import formula as formula_module
 from formulaflow.electrical import terminals_connected
-from formulaflow.formula import AND, OR
+from formulaflow.formula import AND, OR, fold
+from formulaflow.verify import _check_formula_connectivity, _path_literals
 
 
 def with_negations(f, negated):
@@ -45,13 +56,14 @@ def with_negations(f, negated):
 
 
 @st.composite
-def weighted_instances(draw, max_vars=10):
-    """A random formula with negated leaves, rational weights and an input."""
+def weighted_instances(draw, max_vars=10, max_term=9):
+    """A random formula with negated leaves, weights p/q with p, q <= max_term
+    and an input."""
     n = draw(st.integers(min_value=1, max_value=max_vars))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     f = random_formula(np.random.default_rng(seed), n) if n > 1 else leaf(1)
     f = with_negations(f, draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    ratios = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    ratios = draw(st.lists(st.tuples(st.integers(1, max_term), st.integers(1, max_term)),
                            min_size=n, max_size=n))
     weights = {f"x{i + 1}": Fraction(p, q) for i, (p, q) in enumerate(ratios)}
     x = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
@@ -77,6 +89,26 @@ def test_fold_resistance_matches_reduction_and_laplacian(instance):
             assert math.isinf(r_float)
         else:
             assert abs(r_float - float(r)) <= 1e-9 * max(1.0, float(r))
+
+
+@given(weighted_instances(max_term=10**6))
+@settings(max_examples=200, deadline=None)
+def test_fold_resistance_matches_reduction_with_large_weights(instance):
+    f, weights, x = instance
+    for dual, host, polarity in ((False, formula_graph(f, weights), PRIMAL),
+                                 (True, dual_network(f, weights), DUAL)):
+        r = formula_resistance(f, x, weights, dual=dual)
+        assert r == effective_resistance(selected(host, x, polarity), EXACT_SP)
+
+
+@given(weighted_instances(max_vars=7))
+@settings(max_examples=200, deadline=None)
+def test_fold_resistance_matches_witness_sizes(instance):
+    f, weights, x = instance
+    program = build_span_program(formula_graph(f, weights))
+    assert positive_witness(program, x).size == formula_resistance(f, x, weights) / 2
+    assert negative_witness(program, x).size == \
+        2 * formula_resistance(f, x, weights, dual=True)
 
 
 @given(weighted_instances())
@@ -137,3 +169,53 @@ def test_fold_on_deep_alternating_chain(first_bit):
     assert formula_resistance(f, bits) == r
     assert formula_resistance(f, bits, dual=True) == r_dual
     assert (r is INF) != (r_dual is INF)
+
+
+# ---------------------------------------------------------------------------
+# the cached post-order
+# ---------------------------------------------------------------------------
+
+NEGATED = "(x1&~x2)|(x3&x4&(x5|~x6))"
+
+
+def test_postorder_walked_once_per_formula(monkeypatch):
+    f = parse_formula(NEGATED)
+    text_repr = repr(f)
+    walked = []
+    real = formula_module.postorder
+
+    def counting(g):
+        walked.append(g)
+        return real(g)
+
+    monkeypatch.setattr(formula_module, "postorder", counting)
+    x = (1, 0, 1, 1, 0, 1)
+    for _ in range(3):
+        assert fold(f, lambda g: 1, sum, sum) == 6
+        assert eval_formula(f, x) == 1
+        assert formula_resistance(f, x) == Fraction(2)
+        assert formula_resistance(f, x, dual=True) is INF
+    assert len(walked) == 1 and walked[0] is f
+
+    fresh = parse_formula(NEGATED)
+    assert f == fresh and hash(f) == hash(fresh)
+    assert repr(f) == text_repr == repr(fresh)
+
+
+# ---------------------------------------------------------------------------
+# the connectivity suite's path check on negated leaves
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("transform", [lambda f: f, dual_formula, negate_formula],
+                         ids=["formula", "dual", "negation"])
+def test_connectivity_check_accepts_negated_leaves(transform):
+    assert _check_formula_connectivity(transform(parse_formula(NEGATED)))
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_connectivity_path_literals_follow_negated_leaves(dual):
+    f = parse_formula(NEGATED)
+    paths = _path_literals(dual_network(f) if dual else formula_graph(f), dual=dual)
+    for x in itertools.product((0, 1), repeat=f.n_vars):
+        connected = any(all(x[var] ^ flip for var, flip in path) for path in paths)
+        assert connected == (eval_formula(f, x) == (0 if dual else 1))

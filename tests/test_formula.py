@@ -93,6 +93,11 @@ def test_parse_rejects_repeated_variable():
         parse_formula("(x1|x2)&(x2|x3)")
 
 
+def test_parse_names_every_repeated_variable_sorted():
+    with pytest.raises(ReadOnceError, match=r"^variables repeated: \[1, 2, 3\]$"):
+        parse_formula("x3&x1|x2&x3|x1&x2|x3&x4")
+
+
 def test_gate_rejects_fan_in_one():
     with pytest.raises(FormulaError):
         gate("and", [leaf(1)])

@@ -135,6 +135,13 @@ def test_dual_partial_weights_name_the_missing_label():
     assert dual_network(f, {}) == dual_network(f, None) == dual_network(f)
 
 
+@pytest.mark.parametrize("host", [formula_graph, dual_network])
+@pytest.mark.parametrize("bad", [Fraction(0), Fraction(-2)])
+def test_nonpositive_weights_name_the_label(host, bad):
+    with pytest.raises(ValueError, match="edge 'x1' needs a positive rational weight"):
+        host(parse_formula("x1&x2"), {"x1": bad, "x2": Fraction(1)})
+
+
 # ---------------------------------------------------------------------------
 # duality
 # ---------------------------------------------------------------------------
