@@ -25,6 +25,7 @@ from .errors import DomainTooLargeError
 from .extended import as_float, is_inf
 from .formula import (
     Formula,
+    all_inputs,
     as_bits,
     and_promise,
     build_nand_tree,
@@ -134,10 +135,7 @@ def compute_bounds(host, weights=None, domain: DomainSpec | None = None,
     if domain is None:
         if f.n_vars > 20:
             raise DomainTooLargeError("full domain too large; pass an explicit one")
-        domain = explicit_domain(
-            tuple(int(b) for b in format(i, f"0{f.n_vars}b"))
-            for i in range(1 << f.n_vars)
-        )
+        domain = explicit_domain(all_inputs(f.n_vars))
     use_weights = None if unit_weights else weights
     r_max = r_dual_max = c_max = None
     attain_r = attain_rd = attain_c = None
@@ -232,10 +230,8 @@ def _nand_kfault_family(d: int, k: int) -> ExampleFamily:
     if d > 4:
         raise DomainTooLargeError("k-fault enumeration supported for depth <= 4")
     f = build_nand_tree(d)
-    n = 1 << d
     members = []
-    for i in range(1 << n):
-        bits = tuple(int(b) for b in format(i, f"0{n}b"))
+    for bits in all_inputs(1 << d):
         if is_k_fault(d, k, bits):
             members.append((bits, 1))
     domain = DomainSpec("explicit", tuple(members), len(members))

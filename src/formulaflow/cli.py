@@ -39,7 +39,7 @@ from .errors import (
     SearchBudgetError,
 )
 from .extended import is_inf
-from .formula import parse_formula, render
+from .formula import all_inputs, parse_formula, render
 from .graphs import (
     DUAL,
     PRIMAL,
@@ -230,9 +230,8 @@ def _cmd_extrema(args) -> int:
     if f.n_vars > 20:
         raise DomainTooLargeError("extrema sweep capped at 2^20 inputs")
     program = build_span_program(formula_graph(f, weights))
-    domain = [tuple((i >> (f.n_vars - 1 - j)) & 1 for j in range(f.n_vars))
-              for i in range(1 << f.n_vars)]
-    ext = witness_extrema(program, domain, f, include_approx=not args.no_approx)
+    ext = witness_extrema(program, all_inputs(f.n_vars), f,
+                          include_approx=not args.no_approx)
     doc = {
         "w_plus": _fmt(ext.w_plus),
         "w_minus": _fmt(ext.w_minus),

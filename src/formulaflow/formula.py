@@ -273,6 +273,12 @@ def as_bits(x, n: int) -> tuple:
     return bits
 
 
+def all_inputs(n: int) -> Iterator[tuple]:
+    """Every assignment to ``n`` variables as a bit tuple, x1 most significant,
+    in counting order."""
+    return itertools.product((0, 1), repeat=n)
+
+
 def postorder(f: Formula) -> list:
     """The nodes of ``f``, children left to right before their parent."""
     order = []

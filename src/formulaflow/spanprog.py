@@ -258,38 +258,47 @@ def approx_negative_witness(program: SpanProgram, x) -> WitnessReport:
     return WitnessReport(APPROX_NEGATIVE, size, size, err, omega, 0.0)
 
 
-def _exact_nested(program: SpanProgram, x, kind: str):
-    """Exact rational reference for the two-stage programs.
+def approx_positive_witness_reference(program: SpanProgram, x):
+    """Exact (error, size) pair for the approximate positive witness.
 
-    Positive: substitute w = w' / sqrt(c) so the constraint matrix is the
-    integer incidence map and both stage objectives are diagonal rational
-    forms.  Negative: work directly in the vertex space, where the stage
-    Gram matrices are (twice) the weighted Laplacians.
+    Substitute w = w' / sqrt(c) so the constraint matrix is the integer
+    incidence map and both stage objectives are diagonal rational forms.
     """
     net = program.network
     present = {e.label for e in subgraph(net, selector_from_assignment(net, x)).edges}
     weights = net.weight_map()
     nvert = len(net.vertices)
     vidx = program.vertex_index
-    if kind == APPROX_POSITIVE:
-        ncols = len(program.directed)
-        eq = [[Fraction(0)] * ncols for _ in range(nvert)]
-        for col, (u, v, label) in enumerate(program.directed):
-            eq[vidx[u]][col] += Fraction(1)
-            eq[vidx[v]][col] -= Fraction(1)
-        rhs = [Fraction(0)] * nvert
-        rhs[vidx[net.s]] = Fraction(1)
-        rhs[vidx[net.t]] = Fraction(-1)
-        q1 = [[Fraction(0)] * ncols for _ in range(ncols)]
-        q2 = [[Fraction(0)] * ncols for _ in range(ncols)]
-        for col, (u, v, label) in enumerate(program.directed):
-            inv = 1 / Fraction(weights[label])
-            q2[col][col] = inv
-            if label not in present:
-                q1[col][col] = inv
-        _vec, (err, size) = linalg.lex_min_quadratics(eq, rhs, [q1, q2])
-        return err, size
-    # approx negative: variables are vertex potentials
+    ncols = len(program.directed)
+    eq = [[Fraction(0)] * ncols for _ in range(nvert)]
+    for col, (u, v, label) in enumerate(program.directed):
+        eq[vidx[u]][col] += Fraction(1)
+        eq[vidx[v]][col] -= Fraction(1)
+    rhs = [Fraction(0)] * nvert
+    rhs[vidx[net.s]] = Fraction(1)
+    rhs[vidx[net.t]] = Fraction(-1)
+    q1 = [[Fraction(0)] * ncols for _ in range(ncols)]
+    q2 = [[Fraction(0)] * ncols for _ in range(ncols)]
+    for col, (u, v, label) in enumerate(program.directed):
+        inv = 1 / Fraction(weights[label])
+        q2[col][col] = inv
+        if label not in present:
+            q1[col][col] = inv
+    _vec, (err, size) = linalg.lex_min_quadratics(eq, rhs, [q1, q2])
+    return err, size
+
+
+def approx_negative_witness_reference(program: SpanProgram, x):
+    """Exact (error, size) pair for the approximate negative witness.
+
+    The variables are the vertex potentials, where the stage Gram matrices
+    are (twice) the weighted Laplacians.
+    """
+    net = program.network
+    present = {e.label for e in subgraph(net, selector_from_assignment(net, x)).edges}
+    weights = net.weight_map()
+    nvert = len(net.vertices)
+    vidx = program.vertex_index
     eq = [[Fraction(0)] * nvert]
     eq[0][vidx[net.s]] = Fraction(1)
     eq[0][vidx[net.t]] = Fraction(-1)
@@ -312,16 +321,6 @@ def _exact_nested(program: SpanProgram, x, kind: str):
     q2 = laplacian(lambda e: True)
     _vec, (err, size) = linalg.lex_min_quadratics(eq, rhs, [q1, q2])
     return err, size
-
-
-def approx_positive_witness_reference(program: SpanProgram, x):
-    """Exact (error, size) pair for the approximate positive witness."""
-    return _exact_nested(program, x, APPROX_POSITIVE)
-
-
-def approx_negative_witness_reference(program: SpanProgram, x):
-    """Exact (error, size) pair for the approximate negative witness."""
-    return _exact_nested(program, x, APPROX_NEGATIVE)
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,24 @@
 Every suite pins its own sizes, seeds, and tolerances and checks a library
 computation against an independent route (graph search against formula
 evaluation, reduction against linear solves, recursion against brute-force
-enumeration).  ``run_suite`` prints one pass/fail line per suite and is what
-``formulaflow verify`` drives.
+enumeration).
+
+A suite is a function of no arguments that returns its pass detail, or
+raises :class:`SuiteFailure` with the failure detail at its first mismatch.
+:func:`run_criterion` owns the rest: it names the result after the suite's
+``CRITERIA`` key and times it.  ``run_suite`` prints one pass/fail line per
+suite and is what ``formulaflow verify`` drives.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
+import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -43,13 +51,18 @@ from .electrical import (
 )
 from .extended import INF, as_float
 from .formula import (
+    AND,
+    OR,
     Formula,
+    all_inputs,
     build_nand_tree,
     composed_formula,
     enumerate_composed_domain,
     enumerate_formulas,
     eval_formula,
     fold,
+    gate,
+    leaf,
     random_formula,
     uniform_formula,
 )
@@ -82,6 +95,10 @@ class CriterionResult:
     elapsed: float
 
 
+class SuiteFailure(Exception):
+    """A suite's first mismatch; the message is the result's detail."""
+
+
 def _rel_close(a: float, b: float, tol: float = 1e-9) -> bool:
     if math.isinf(a) or math.isinf(b):
         return math.isinf(a) and math.isinf(b)
@@ -89,9 +106,11 @@ def _rel_close(a: float, b: float, tol: float = 1e-9) -> bool:
     return abs(a - b) <= tol * scale
 
 
-def _all_inputs(n: int):
-    for i in range(1 << n):
-        yield tuple((i >> (n - 1 - j)) & 1 for j in range(n))
+def _bit_columns(n: int, lo: int, hi: int) -> list:
+    """Boolean columns, x1 first, of the inputs numbered ``lo`` to ``hi - 1``."""
+    idx = np.arange(lo, hi, dtype=np.uint64)
+    return [((idx >> np.uint64(n - 1 - j)) & np.uint64(1)).astype(bool)
+            for j in range(n)]
 
 
 def _random_weights(rng, f: Formula) -> dict:
@@ -103,11 +122,10 @@ def _random_weights(rng, f: Formula) -> dict:
 # 1. witness sizes against resistances, exact and float
 # ---------------------------------------------------------------------------
 
-def check_witness_resistance() -> CriterionResult:
+def check_witness_resistance() -> str:
     """Positive/negative witness sizes equal half/twice the primal/dual
     resistance on random weighted series-parallel networks: exact equality
     via the rational routes, relative 1e-9 agreement via the float routes."""
-    start = time.time()
     rng = np.random.default_rng(11)
     networks = 0
     inputs = 0
@@ -119,7 +137,7 @@ def check_witness_resistance() -> CriterionResult:
         dual_host = dual_network(f, weights)
         program = build_span_program(net)
         networks += 1
-        for bits in _all_inputs(n):
+        for bits in all_inputs(n):
             inputs += 1
             pos = positive_witness(program, bits)
             neg = negative_witness(program, bits)
@@ -131,21 +149,12 @@ def check_witness_resistance() -> CriterionResult:
             want_pos = INF if r_sp is INF else r_sp / 2
             want_neg = INF if rd_sp is INF else 2 * rd_sp
             if pos.size != want_pos or neg.size != want_neg:
-                return CriterionResult(
-                    "witness-resistance", False,
-                    f"exact mismatch at n={n} x={bits}", time.time() - start)
+                raise SuiteFailure(f"exact mismatch at n={n} x={bits}")
             if not _rel_close(pos.size_float, as_float(want_pos)):
-                return CriterionResult(
-                    "witness-resistance", False,
-                    f"float positive mismatch at x={bits}", time.time() - start)
+                raise SuiteFailure(f"float positive mismatch at x={bits}")
             if not _rel_close(neg.size_float, as_float(want_neg)):
-                return CriterionResult(
-                    "witness-resistance", False,
-                    f"float negative mismatch at x={bits}", time.time() - start)
-    return CriterionResult(
-        "witness-resistance", True,
-        f"{networks} networks, {inputs} inputs, exact + 1e-9 float agreement",
-        time.time() - start)
+                raise SuiteFailure(f"float negative mismatch at x={bits}")
+    return f"{networks} networks, {inputs} inputs, exact + 1e-9 float agreement"
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +193,7 @@ def _check_formula_connectivity(f: Formula, chunk_bits: int = 20) -> bool:
     total = 1 << n
     step = min(total, 1 << chunk_bits)
     for startx in range(0, total, step):
-        idx = np.arange(startx, min(startx + step, total), dtype=np.uint64)
-        cols = [((idx >> np.uint64(n - 1 - j)) & np.uint64(1)).astype(bool)
-                for j in range(n)]
+        cols = _bit_columns(n, startx, min(startx + step, total))
         value = value_vector(cols)
         if not np.array_equal(connected(primal_paths, cols), value):
             return False
@@ -195,31 +202,28 @@ def _check_formula_connectivity(f: Formula, chunk_bits: int = 20) -> bool:
     return True
 
 
-def check_connectivity() -> CriterionResult:
+def check_connectivity() -> str:
     """For systematically generated formulas (all alternating shapes of depth
-    <= 3 and fan-in <= 3 up to ten variables, plus every uniform per-level
-    profile up to 27 variables) the selected subgraph connects its terminals
+    <= 3 and fan-in <= 3 up to ten variables, each once as is and once with
+    its even-numbered leaves negated, plus every uniform per-level profile up
+    to 27 variables) the selected subgraph connects its terminals
     exactly on the 1-inputs and the dual subgraph exactly on the 0-inputs."""
-    start = time.time()
     family = list(enumerate_formulas(3, (2, 3), max_vars=10))
     seen = {str(f) for f in family}
+    more = [fold(f, lambda g: leaf(g.var, negated=g.var % 2 == 0),
+                 partial(gate, AND), partial(gate, OR)) for f in family]
     for depth in range(4):
         for root_kind in ("and", "or"):
             for fanins in itertools.product((2, 3), repeat=depth):
-                f = uniform_formula(root_kind, fanins)
-                if str(f) not in seen:
-                    seen.add(str(f))
-                    family.append(f)
-    checked = 0
+                more.append(uniform_formula(root_kind, fanins))
+    for f in more:
+        if str(f) not in seen:
+            seen.add(str(f))
+            family.append(f)
     for f in family:
         if not _check_formula_connectivity(f):
-            return CriterionResult(
-                "connectivity", False, f"mismatch on {f}", time.time() - start)
-        checked += 1
-    return CriterionResult(
-        "connectivity", True,
-        f"{checked} formulas exhaustively matched on both sides",
-        time.time() - start)
+            raise SuiteFailure(f"mismatch on {f}")
+    return f"{len(family)} formulas exhaustively matched on both sides"
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +233,9 @@ def check_connectivity() -> CriterionResult:
 def _float_resistance_profile(f: Formula, weights, dual: bool) -> np.ndarray:
     """Vectorized per-input resistance over all 2^N inputs (float, inf ok)."""
     n = f.n_vars
-    idx = np.arange(1 << n, dtype=np.uint64)
-    cols = [((idx >> np.uint64(n - 1 - j)) & np.uint64(1)).astype(bool)
-            for j in range(n)]
+    cols = _bit_columns(n, 0, 1 << n)
 
-    def leaf(g):
+    def at_leaf(g):
         present = cols[g.var - 1]
         if g.negated:
             present = ~present
@@ -248,7 +250,7 @@ def _float_resistance_profile(f: Formula, weights, dual: bool) -> np.ndarray:
             cond = sum(1.0 / p for p in parts)
             return np.where(cond > 0, 1.0 / np.where(cond > 0, cond, 1.0), np.inf)
 
-    return fold(f, leaf, parallel, sum) if dual else fold(f, leaf, sum, parallel)
+    return fold(f, at_leaf, parallel, sum) if dual else fold(f, at_leaf, sum, parallel)
 
 
 def _exact_extrema(f: Formula, weights) -> tuple:
@@ -259,35 +261,29 @@ def _exact_extrema(f: Formula, weights) -> tuple:
     sound because the fold's float error is far below the 1e-6 slack used
     to shortlist candidates.
     """
-    n = f.n_vars
     primal = _float_resistance_profile(f, weights, dual=False)
     dual = _float_resistance_profile(f, weights, dual=True)
     finite_p = np.where(np.isfinite(primal), primal, -np.inf)
     finite_d = np.where(np.isfinite(dual), dual, -np.inf)
     best_p = finite_p.max()
     best_d = finite_d.max()
-    cand_p = np.nonzero(finite_p >= best_p * (1 - 1e-6))[0]
-    cand_d = np.nonzero(finite_d >= best_d * (1 - 1e-6))[0]
+    cand_p = finite_p >= best_p * (1 - 1e-6)
+    cand_d = finite_d >= best_d * (1 - 1e-6)
 
     def exact_max(cands, dual_side):
-        best = None
-        for i in cands:
-            bits = tuple((int(i) >> (n - 1 - j)) & 1 for j in range(n))
-            r = formula_resistance(f, bits, weights, dual=dual_side)
-            if best is None or r > best:
-                best = r
-        return best
+        shortlist = itertools.compress(all_inputs(f.n_vars), cands.tolist())
+        return max(formula_resistance(f, bits, weights, dual=dual_side)
+                   for bits in shortlist)
 
     w_plus = exact_max(cand_p, False) / 2
     w_minus = 2 * exact_max(cand_d, True)
     return w_plus, w_minus
 
 
-def check_weight_certificates() -> CriterionResult:
+def check_weight_certificates() -> str:
     """The recursive weight scheme's certified product W+ * W- is attained
     exactly by exhaustive sweep and never exceeds the variable count, on the
     alternating full trees up to depth 4 and on 100 random formulas."""
-    start = time.time()
     cases = [build_nand_tree(d) for d in range(5)]
     rng = np.random.default_rng(13)
     cases += [random_formula(rng, int(rng.integers(2, 17))) for _ in range(100)]
@@ -295,46 +291,33 @@ def check_weight_certificates() -> CriterionResult:
         cert = optimal_weights(f)
         w_plus, w_minus = _exact_extrema(f, cert.weights)
         if w_plus != cert.w_plus or w_minus != cert.w_minus:
-            return CriterionResult(
-                "weight-certificates", False,
-                f"sweep disagrees with certificate on {f}", time.time() - start)
+            raise SuiteFailure(f"sweep disagrees with certificate on {f}")
         if w_plus * w_minus > f.n_vars or cert.bound > f.n_vars:
-            return CriterionResult(
-                "weight-certificates", False,
-                f"product exceeds N on {f}", time.time() - start)
-    return CriterionResult(
-        "weight-certificates", True,
-        f"{len(cases)} formulas certified, product <= N exhaustively",
-        time.time() - start)
+            raise SuiteFailure(f"product exceeds N on {f}")
+    return f"{len(cases)} formulas certified, product <= N exhaustively"
 
 
 # ---------------------------------------------------------------------------
 # 4. alternating-tree cut values
 # ---------------------------------------------------------------------------
 
-def check_nand_cut() -> CriterionResult:
+def check_nand_cut() -> str:
     """Every 0-instance of the depth-d alternating tree (d <= 4) has cut size
     exactly 2^floor(d/2), by max-flow and by structural recursion."""
-    start = time.time()
     for d in range(5):
         f = build_nand_tree(d)
         net = formula_graph(f)
         expected = 2 ** (d // 2)
         n = 1 << d
-        for bits in _all_inputs(n):
+        for bits in all_inputs(n):
             if eval_formula(f, bits) == 1:
                 continue
             via_flow = cut_size(net, bits, MAXFLOW)
             via_rec = cut_size(net, bits, SP_RECURSION)
             if via_flow != expected or via_rec != expected:
-                return CriterionResult(
-                    "nand-cut", False,
-                    f"d={d} x={bits}: {via_flow}/{via_rec} != {expected}",
-                    time.time() - start)
-    return CriterionResult(
-        "nand-cut", True,
-        "cut size 2^(d//2) on every 0-instance, depths 0-4, both backends",
-        time.time() - start)
+                raise SuiteFailure(
+                    f"d={d} x={bits}: {via_flow}/{via_rec} != {expected}")
+    return "cut size 2^(d//2) on every 0-instance, depths 0-4, both backends"
 
 
 # ---------------------------------------------------------------------------
@@ -344,43 +327,36 @@ def check_nand_cut() -> CriterionResult:
 REFERENCE_LEAVES = (1, 1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 1, 0, 1)
 
 
-def check_reference_instance() -> CriterionResult:
+def check_reference_instance() -> str:
     """The depth-4 reference instance evaluates to one and its winning-player
     fault complexity is exactly four."""
-    start = time.time()
     f = build_nand_tree(4)
     value = eval_formula(f, REFERENCE_LEAVES)
     report = fault_complexity(4, REFERENCE_LEAVES)
-    ok = value == 1 and report.f_a == 4 and report.f == 4 and report.f_b is INF
-    return CriterionResult(
-        "reference-instance", ok,
-        f"value={value}, F_A={report.f_a}, F_B={report.f_b}", time.time() - start)
+    detail = f"value={value}, F_A={report.f_a}, F_B={report.f_b}"
+    if not (value == 1 and report.f_a == 4 and report.f == 4 and report.f_b is INF):
+        raise SuiteFailure(detail)
+    return detail
 
 
 # ---------------------------------------------------------------------------
 # 6. resistance bounded by fault complexity
 # ---------------------------------------------------------------------------
 
-def check_fault_bound() -> CriterionResult:
+def check_fault_bound() -> str:
     """Exhaustively for depths <= 4: primal resistance <= F_A and dual
     resistance <= F_B, with an extra factor two at odd depth."""
-    start = time.time()
     for d in range(5):
         factor = 1 if d % 2 == 0 else 2
         n = 1 << d
         tree = build_nand_tree(d)
-        for bits in _all_inputs(n):
+        for bits in all_inputs(n):
             r = subtree_resistance(bits, d)
             rd = formula_resistance(tree, bits, dual=True)
             rep = fault_complexity(d, bits)
             if not (r <= factor * rep.f_a and rd <= factor * rep.f_b):
-                return CriterionResult(
-                    "fault-bound", False, f"violated at d={d} x={bits}",
-                    time.time() - start)
-    return CriterionResult(
-        "fault-bound", True,
-        "R <= (2)F_A and R' <= (2)F_B exhaustively for depths 0-4",
-        time.time() - start)
+                raise SuiteFailure(f"violated at d={d} x={bits}")
+    return "R <= (2)F_A and R' <= (2)F_B exhaustively for depths 0-4"
 
 
 # ---------------------------------------------------------------------------
@@ -413,31 +389,23 @@ PRODUCT_STRUCTURES = (
 )
 
 
-def check_resistance_product() -> CriterionResult:
+def check_resistance_product() -> str:
     """max R (1-side) times max R' (0-side) equals prod N_i / prod h_i,
     exactly, for every tested promise composition."""
-    start = time.time()
     for levels in PRODUCT_STRUCTURES:
         report = verify_resistance_product(levels)
         if not report.equal:
-            return CriterionResult(
-                "resistance-product", False,
-                f"{levels}: {report.product} != {report.expected}",
-                time.time() - start)
-    return CriterionResult(
-        "resistance-product", True,
-        f"{len(PRODUCT_STRUCTURES)} level structures, exact equality",
-        time.time() - start)
+            raise SuiteFailure(f"{levels}: {report.product} != {report.expected}")
+    return f"{len(PRODUCT_STRUCTURES)} level structures, exact equality"
 
 
 # ---------------------------------------------------------------------------
 # 8. example families
 # ---------------------------------------------------------------------------
 
-def check_example_families() -> CriterionResult:
+def check_example_families() -> str:
     """Line and balloon families reproduce their analytic figures, and the
     bound exponents fit 1/2 (cut figure) and 1/4 (dual figure) for the line."""
-    start = time.time()
     sizes = [4, 9, 16, 25]
     cut_bounds = []
     new_bounds = []
@@ -446,18 +414,14 @@ def check_example_families() -> CriterionResult:
         fam = example_family("line", n=n, h=h)
         rep = compute_bounds(fam.formula, fam.weights, fam.domain)
         if rep.r_max != n or rep.r_dual_max != Fraction(1, h) or rep.c_max != 1:
-            return CriterionResult(
-                "example-families", False, f"line n={n}: unexpected maxima",
-                time.time() - start)
+            raise SuiteFailure(f"line n={n}: unexpected maxima")
         cut_bounds.append(rep.bound_cut)
         new_bounds.append(rep.bound_new)
     slope_cut = exponent_fit(sizes, cut_bounds)
     slope_new = exponent_fit(sizes, new_bounds)
     if not (abs(slope_cut - 0.5) <= 0.1 and abs(slope_new - 0.25) <= 0.1):
-        return CriterionResult(
-            "example-families", False,
-            f"line exponents {slope_cut:.3f}/{slope_new:.3f} out of range",
-            time.time() - start)
+        raise SuiteFailure(
+            f"line exponents {slope_cut:.3f}/{slope_new:.3f} out of range")
     for n in (4, 8, 16):
         fam = example_family("balloon", n=n)
         rep = compute_bounds(fam.formula, fam.weights, fam.domain)
@@ -465,23 +429,18 @@ def check_example_families() -> CriterionResult:
         ok = (rep.r_max == 2 * n and rep.r_dual_max <= 1 and rep.c_max == n
               and unit.r_max == n + 1)
         if not ok:
-            return CriterionResult(
-                "example-families", False, f"balloon n={n}: unexpected maxima",
-                time.time() - start)
-    return CriterionResult(
-        "example-families", True,
-        "line maxima N, 1/h, 1 with exponents 1/2 and 1/4; balloon maxima "
-        "2N, <=1, N, and N+1 unweighted", time.time() - start)
+            raise SuiteFailure(f"balloon n={n}: unexpected maxima")
+    return ("line maxima N, 1/h, 1 with exponents 1/2 and 1/4; balloon maxima "
+            "2N, <=1, N, and N+1 unweighted")
 
 
 # ---------------------------------------------------------------------------
 # 9. bound dominance
 # ---------------------------------------------------------------------------
 
-def check_bound_dominance() -> CriterionResult:
+def check_bound_dominance() -> str:
     """With unit weights, sqrt(R R') <= sqrt(R C) <= sqrt(R |E|) on every
     domain used by the cut, product, and family suites."""
-    start = time.time()
     domains = []
     for d in range(5):
         domains.append((build_nand_tree(d), None))
@@ -499,25 +458,19 @@ def check_bound_dominance() -> CriterionResult:
         if rep.r_dual_max is None:
             continue
         if not (rep.r_dual_max <= rep.c_max <= rep.n_edges):
-            return CriterionResult(
-                "bound-dominance", False,
-                f"ordering violated on {f}", time.time() - start)
-    return CriterionResult(
-        "bound-dominance", True,
-        f"R' <= C <= |E| on {len(domains)} domains (unit weights)",
-        time.time() - start)
+            raise SuiteFailure(f"ordering violated on {f}")
+    return f"R' <= C <= |E| on {len(domains)} domains (unit weights)"
 
 
 # ---------------------------------------------------------------------------
 # 10. game strategy cost
 # ---------------------------------------------------------------------------
 
-def check_game_strategy() -> CriterionResult:
+def check_game_strategy() -> str:
     """Resistance-guided play wins every random-opponent game and the mean
     cost stays under 2^(d/4 + 11/2) sqrt(R) (even d) or 2^(d/4 + 5) sqrt(R)
     (odd d), for 50 sampled winnable instances per depth 2..10 and 1000
     games each; the selection rule's factor-two guarantee never fails."""
-    start = time.time()
     rng = np.random.default_rng(17)
     games = 0
     for d in range(2, 11):
@@ -534,35 +487,24 @@ def check_game_strategy() -> CriterionResult:
                                   keep_transcripts=False)
             games += stats.reps
             if stats.wins != stats.reps:
-                return CriterionResult(
-                    "game-strategy", False,
-                    f"d={d}: lost {stats.reps - stats.wins} games",
-                    time.time() - start)
+                raise SuiteFailure(f"d={d}: lost {stats.reps - stats.wins} games")
             if not stats.bound_ok:
-                return CriterionResult(
-                    "game-strategy", False,
-                    f"d={d}: mean cost {stats.mean_cost:.3f} over bound "
-                    f"{stats.bound:.3f}", time.time() - start)
+                raise SuiteFailure(f"d={d}: mean cost {stats.mean_cost:.3f} over "
+                                   f"bound {stats.bound:.3f}")
             if stats.guarantee_violations:
-                return CriterionResult(
-                    "game-strategy", False,
-                    f"d={d}: selection guarantee violated", time.time() - start)
-    return CriterionResult(
-        "game-strategy", True,
-        f"{games} games, all won, mean cost within bound at every instance",
-        time.time() - start)
+                raise SuiteFailure(f"d={d}: selection guarantee violated")
+    return f"{games} games, all won, mean cost within bound at every instance"
 
 
 # ---------------------------------------------------------------------------
 # 11. approximate witnesses and longest paths
 # ---------------------------------------------------------------------------
 
-def check_approx_witness() -> CriterionResult:
+def check_approx_witness() -> str:
     """Approximate witness sizes respect the fan-in/depth bounds on 200
     random formulas, the longest self-avoiding path respects its bound, and
     the two-stage solver matches the exact reference within 1e-7 on all
     instances with at most six edges."""
-    start = time.time()
     rng = np.random.default_rng(19)
     slack = 1e-7
     for _ in range(200):
@@ -574,17 +516,13 @@ def check_approx_witness() -> CriterionResult:
         cap_plus = 0.5 * fanin ** f.and_depth()
         cap_minus = 2.0 * fanin ** f.or_depth()
         if longest_self_avoiding_path(net, budget=24) > fanin ** f.and_depth():
-            return CriterionResult(
-                "approx-witness", False, f"path bound violated on {f}",
-                time.time() - start)
+            raise SuiteFailure(f"path bound violated on {f}")
         small = n <= 6
-        for bits in _all_inputs(n):
+        for bits in all_inputs(n):
             pos = approx_positive_witness(program, bits)
             neg = approx_negative_witness(program, bits)
             if pos.size > cap_plus + slack or neg.size > cap_minus + slack:
-                return CriterionResult(
-                    "approx-witness", False,
-                    f"size bound violated on {f} x={bits}", time.time() - start)
+                raise SuiteFailure(f"size bound violated on {f} x={bits}")
             if small:
                 err_p, size_p = approx_positive_witness_reference(program, bits)
                 err_n, size_n = approx_negative_witness_reference(program, bits)
@@ -594,24 +532,18 @@ def check_approx_witness() -> CriterionResult:
                 )
                 for got, want in checks:
                     if not _rel_close(got, want, 1e-7):
-                        return CriterionResult(
-                            "approx-witness", False,
-                            f"solver/reference gap on {f} x={bits}: "
-                            f"{got} vs {want}", time.time() - start)
-    return CriterionResult(
-        "approx-witness", True,
-        "200 formulas: size bounds hold, solver matches the exact reference",
-        time.time() - start)
+                        raise SuiteFailure(f"solver/reference gap on {f} x={bits}: "
+                                           f"{got} vs {want}")
+    return "200 formulas: size bounds hold, solver matches the exact reference"
 
 
 # ---------------------------------------------------------------------------
 # 12. flow axioms and decomposition
 # ---------------------------------------------------------------------------
 
-def check_flow_decomposition() -> CriterionResult:
+def check_flow_decomposition() -> str:
     """Optimal flows satisfy the flow axioms exactly; decompositions
     recompose exactly with signed path coefficients summing to one."""
-    start = time.time()
     rng = np.random.default_rng(23)
     flows = 0
     for _ in range(40):
@@ -619,35 +551,24 @@ def check_flow_decomposition() -> CriterionResult:
         f = random_formula(rng, n)
         weights = _random_weights(rng, f)
         host = formula_graph(f, weights)
-        for bits in _all_inputs(n):
+        for bits in all_inputs(n):
             if eval_formula(f, bits) != 1:
                 continue
             sub = subgraph(host, selector_from_assignment(host, bits, PRIMAL))
             flow, energy = optimal_flow(sub)
             check_unit_flow(sub, flow)
             if energy != flow_energy(sub, flow):
-                return CriterionResult(
-                    "flow-decomposition", False, "energy mismatch",
-                    time.time() - start)
+                raise SuiteFailure("energy mismatch")
             pieces = decompose_flow(flow)
             if recompose(pieces).values != flow.values:
-                return CriterionResult(
-                    "flow-decomposition", False, "recomposition mismatch",
-                    time.time() - start)
+                raise SuiteFailure("recomposition mismatch")
             coeff = sum((c for c, kind, _ in pieces if kind == "path"), Fraction(0))
             if coeff != 1:
-                return CriterionResult(
-                    "flow-decomposition", False, "path coefficients sum != 1",
-                    time.time() - start)
+                raise SuiteFailure("path coefficients sum != 1")
             if any(kind == "cycle" for _c, kind, _e in pieces):
-                return CriterionResult(
-                    "flow-decomposition", False,
-                    "optimal flow decomposed with a cycle", time.time() - start)
+                raise SuiteFailure("optimal flow decomposed with a cycle")
             flows += 1
-    return CriterionResult(
-        "flow-decomposition", True,
-        f"{flows} optimal flows: exact axioms, exact recomposition",
-        time.time() - start)
+    return f"{flows} optimal flows: exact axioms, exact recomposition"
 
 
 # ---------------------------------------------------------------------------
@@ -682,35 +603,33 @@ def resolve_suite(name: str) -> list:
     return [key]
 
 
-def _run_one(name: str) -> CriterionResult:
-    return CRITERIA[name]()
-
-
-def _print_result(result: CriterionResult, out) -> None:
-    status = "PASS" if result.passed else "FAIL"
-    print(f"[{status}] {result.name} ({result.elapsed:.1f}s): {result.detail}",
-          file=out, flush=True)
+def run_criterion(name: str) -> CriterionResult:
+    """Run one suite by its ``CRITERIA`` name, timed; a ``SuiteFailure`` is
+    its FAIL result."""
+    start = time.perf_counter()
+    try:
+        passed, detail = True, CRITERIA[name]()
+    except SuiteFailure as failure:
+        passed, detail = False, str(failure)
+    return CriterionResult(name, passed, detail, time.perf_counter() - start)
 
 
 def run_suite(names=None, stream=None, jobs: int = 1) -> list:
     """Run the named suites (default: all) and print one line per result.
 
-    With ``jobs`` > 1 the suites run in worker processes; the output order is
-    the canonical suite order either way.
+    With ``jobs`` > 1 the suites run in worker processes.  Lines come in the
+    given order either way, each as soon as it and every earlier suite are
+    done.
     """
-    import sys
     out = stream or sys.stdout
     names = list(names or CRITERIA)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, names))
-        for result in results:
-            _print_result(result, out)
-    else:
-        results = []
-        for name in names:
-            result = _run_one(name)
+    results = []
+    pool_context = (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
+                    else contextlib.nullcontext())
+    with pool_context as pool:
+        for result in (pool.map if pool else map)(run_criterion, names):
+            status = "PASS" if result.passed else "FAIL"
+            print(f"[{status}] {result.name} ({result.elapsed:.1f}s): {result.detail}",
+                  file=out, flush=True)
             results.append(result)
-            _print_result(result, out)
     return results

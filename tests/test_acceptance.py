@@ -1,18 +1,26 @@
 """End-to-end acceptance runs: one test per verification suite.
 
 Each test executes the corresponding suite from formulaflow.verify at its
-full pinned size and tolerance and prints the one-line outcome (run pytest
-with -s or check the captured output).  The same suites back the
-``formulaflow verify`` command.
+full pinned size and tolerance through ``run_suite``, the runner behind the
+``formulaflow verify`` command, which prints the one-line outcome (run
+pytest with -s or check the captured output).  The perturbation tests at the
+end knock one production route of each suite a hair off and check that the
+suite then fails, so every oracle is shown to be live.
 """
 
-from formulaflow.verify import CRITERIA
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+from formulaflow import bounds, electrical, verify
+from formulaflow.extended import INF
+from formulaflow.verify import CRITERIA, run_criterion, run_suite
 
 
 def _run(name):
-    result = CRITERIA[name]()
-    status = "PASS" if result.passed else "FAIL"
-    print(f"[{status}] {result.name} ({result.elapsed:.1f}s): {result.detail}")
+    [result] = run_suite([name])
+    assert result.name == name
     assert result.passed, f"{result.name}: {result.detail}"
 
 
@@ -86,3 +94,72 @@ def test_12_flow_axioms_and_decomposition():
     # optimal flows: exact axioms, exact recomposition, path coefficients
     # summing to one
     _run("flow-decomposition")
+
+
+# ---------------------------------------------------------------------------
+# perturbations: each suite must FAIL once one production route is off
+# ---------------------------------------------------------------------------
+
+HAIR = Fraction(1, 10**9)
+
+
+def _hair(value):
+    return value if value is INF else value + HAIR
+
+
+def _plus_hair(fn):
+    return lambda *args, **kwargs: _hair(fn(*args, **kwargs))
+
+
+def _shift_field(field, shift):
+    """Wrap a route so that ``field`` of its dataclass result is shifted."""
+    def wrap(fn):
+        def wrapped(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            return dataclasses.replace(result, **{field: shift(getattr(result, field))})
+        return wrapped
+    return wrap
+
+
+def _drop_last_path(fn):
+    return lambda net, budget: fn(net, budget)[:-1]
+
+
+def _energy_plus_hair(fn):
+    def wrapped(sub):
+        flow, energy = fn(sub)
+        return flow, energy + HAIR
+    return wrapped
+
+
+PERTURBATIONS = {
+    "witness-resistance": (verify, "positive_witness", _shift_field("size", _hair)),
+    "connectivity": (verify, "simple_st_paths", _drop_last_path),
+    "weight-certificates": (verify, "formula_resistance", _plus_hair),
+    # the max-flow backend only, so the two cut routes disagree
+    "nand-cut": (electrical, "_max_flow_value", _plus_hair),
+    "reference-instance": (verify, "fault_complexity", _shift_field("f_a", _hair)),
+    "fault-bound": (verify, "subtree_resistance", _plus_hair),
+    "resistance-product": (bounds, "formula_resistance", _plus_hair),
+    "example-families": (bounds, "cut_size", _plus_hair),
+    "bound-dominance": (bounds, "formula_resistance", _plus_hair),
+    "game-strategy": (verify, "simulate_game",
+                      _shift_field("wins", lambda wins: wins - 1)),
+    # a hair measured against the suite's 1e-7 tolerance
+    "approx-witness": (verify, "approx_positive_witness",
+                       _shift_field("size", lambda size: size + 1e-6)),
+    "flow-decomposition": (verify, "optimal_flow", _energy_plus_hair),
+}
+
+
+def test_every_suite_has_a_perturbation():
+    assert set(PERTURBATIONS) == set(CRITERIA)
+
+
+@pytest.mark.parametrize("name", list(PERTURBATIONS))
+def test_perturbed_route_fails_its_suite(name, monkeypatch):
+    module, attr, wrap = PERTURBATIONS[name]
+    monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    result = run_criterion(name)
+    assert result.name == name
+    assert result.passed is False, result.detail
