@@ -67,6 +67,7 @@ DOMAIN_ERRORS = (
 
 
 def _load_weights(path):
+    """The ``--weights`` file: one JSON object of label: number or numeric string."""
     if path is None:
         return None
     try:
@@ -74,7 +75,17 @@ def _load_weights(path):
             doc = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read weights file {path!r}: {exc.strerror}") from exc
-    return {label: Fraction(value) for label, value in doc.items()}
+    if not isinstance(doc, dict):
+        raise ValueError(f"weights file {path!r} must hold one JSON object of label: weight")
+    weights = {}
+    for label, value in doc.items():
+        try:
+            if isinstance(value, bool):
+                raise TypeError("a boolean is not a weight")
+            weights[label] = Fraction(value)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ValueError(f"label {label!r} has no rational weight: {value!r}") from exc
+    return weights
 
 
 def _fmt(value) -> str:
@@ -83,6 +94,11 @@ def _fmt(value) -> str:
     if is_inf(value):
         return "inf"
     return str(value)
+
+
+def _json_value(value):
+    """A finite float as a JSON number, anything else as its ``_fmt`` string."""
+    return value if isinstance(value, float) and not is_inf(value) else _fmt(value)
 
 
 def _tree_lines(f, indent=0):
@@ -136,9 +152,7 @@ def _cmd_resist(args) -> int:
     backend = LAPLACIAN if args.float else EXACT_SP
     value = effective_resistance(net, backend)
     if args.json:
-        encoded = value if isinstance(value, float) and not is_inf(value) \
-            else _fmt(value)
-        print(json.dumps({"resistance": encoded, "backend": backend}))
+        print(json.dumps({"resistance": _json_value(value), "backend": backend}))
     else:
         print(_fmt(value))
     return 0
@@ -197,17 +211,11 @@ def _cmd_witness(args) -> int:
         "approx-neg": approx_negative_witness,
     }[args.kind]
     report = handler(program, args.x)
-
-    def enc(value):
-        if isinstance(value, float) and not is_inf(value):
-            return value
-        return _fmt(value)
-
     doc = {
         "kind": report.kind,
-        "size": enc(report.size),
+        "size": _json_value(report.size),
         "size_float": report.size_float,
-        "error": enc(report.error),
+        "error": _json_value(report.error),
         "residual": report.residual,
     }
     if args.json:

@@ -332,15 +332,7 @@ def build_nand_tree(d: int) -> Formula:
     """
     if d < 0:
         raise FormulaError("depth must be nonnegative")
-
-    def build(r: int, offset: int) -> Formula:
-        if r == 0:
-            return leaf(offset + 1)
-        kind = OR if r % 2 == 0 else AND
-        half = 1 << (r - 1)
-        return gate(kind, [build(r - 1, offset), build(r - 1, offset + half)])
-
-    return build(d, 0)
+    return uniform_formula(OR if d % 2 == 0 else AND, (2,) * d)
 
 
 def dual_formula(f: Formula) -> Formula:

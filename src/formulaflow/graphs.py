@@ -1,17 +1,18 @@
 """Two-terminal labeled weighted multigraphs and their compositions.
 
-Networks are immutable.  Vertex names are deterministic: a series composition
-joins parts at junctions ``s2 .. sl`` and prefixes interior vertices of part
-``i`` with ``"i."``, so repeated builds are byte-identical.  Formula-derived
-networks carry a back-reference to their formula; the graph of an AND gate is
-the series composition of its children's graphs, of an OR gate the parallel
-composition, and of a leaf a single labeled edge.
+Networks are immutable.  Vertex names follow one rule: a series composition of
+k parts joins them at junctions ``s2 .. sk``, and part ``i`` prefixes its
+interior vertices with ``"i."``, so repeated builds are byte-identical.  The
+graph of an AND gate is the series composition of its children's graphs, of an
+OR gate the parallel composition, and of a leaf a single labeled edge.  Each
+network is assembled from its whole composition tree in one pass and validated
+once; formula-derived networks carry a back-reference to their formula.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Mapping, Sequence
@@ -102,47 +103,54 @@ def single_edge(label: str, weight=Fraction(1), s: str = "s", t: str = "t") -> N
 # composition
 # ---------------------------------------------------------------------------
 
+def _assemble(tree, s: str, t: str, formula: Formula | None = None) -> Network:
+    """The network of a composition tree, whose nodes are ``Network`` parts or
+    ``(mode, children)`` pairs, walked top-down once.  A series junction is
+    listed where the part before it lists its ``t``, or after the whole
+    subtree of a composed part."""
+    vertices, edges = [s], []
+    stack = [(tree, s, t, None, "")]  # node, its s and t, junction after it, prefix
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            vertices.append(item)
+            continue
+        node, a, b, junction, prefix = item
+        if isinstance(node, Network):
+            names = {node.s: a, node.t: b}
+            for v in node.vertices:
+                if v not in names:
+                    vertices.append(prefix + v)
+                elif v == node.t and junction:
+                    vertices.append(junction)
+            edges.extend(Edge(names.get(e.u) or prefix + e.u, names.get(e.v) or prefix + e.v,
+                              e.label, e.weight) for e in node.edges)
+            continue
+        mode, children = node
+        k = len(children)
+        if mode == SERIES:
+            joints = [a, *(f"{prefix}s{i}" for i in range(2, k + 1)), b]
+            ends = [(joints[i], joints[i + 1], joints[i + 1] if i < k - 1 else None)
+                    for i in range(k)]
+        elif mode == PARALLEL:
+            ends = [(a, b, None)] * k
+        else:
+            raise ValueError(f"unknown composition mode {mode!r}")
+        if junction:
+            stack.append(junction)
+        for i in reversed(range(k)):
+            stack.append((children[i], *ends[i], f"{prefix}{i + 1}."))
+    vertices.append(t)
+    return Network(tuple(vertices), s, t, tuple(edges), formula)
+
+
 def compose_networks(mode: str, parts: Sequence[Network]) -> Network:
-    """Series or parallel composition of two or more two-terminal networks."""
+    """Series or parallel composition of two or more two-terminal networks,
+    named by the module's rule with terminals ``s`` and ``t``; parts that
+    share an edge label raise ``LabelCollisionError``."""
     if len(parts) < 2:
         raise ValueError("composition needs at least two parts")
-    seen = set()
-    for part in parts:
-        for label in part.labels:
-            if label in seen:
-                raise LabelCollisionError(f"label {label!r} appears in several parts")
-            seen.add(label)
-
-    if mode == SERIES:
-        def rename(i, v, part):
-            if v == part.s:
-                return "s" if i == 0 else f"s{i + 1}"
-            if v == part.t:
-                return "t" if i == len(parts) - 1 else f"s{i + 2}"
-            return f"{i + 1}.{v}"
-    elif mode == PARALLEL:
-        def rename(i, v, part):
-            if v == part.s:
-                return "s"
-            if v == part.t:
-                return "t"
-            return f"{i + 1}.{v}"
-    else:
-        raise ValueError(f"unknown composition mode {mode!r}")
-
-    vertices = ["s"]
-    for i, part in enumerate(parts):
-        for v in part.vertices:
-            name = rename(i, v, part)
-            if name not in ("s", "t") and name not in vertices:
-                vertices.append(name)
-    vertices.append("t")
-
-    edges = []
-    for i, part in enumerate(parts):
-        for e in part.edges:
-            edges.append(Edge(rename(i, e.u, part), rename(i, e.v, part), e.label, e.weight))
-    return Network(tuple(vertices), "s", "t", tuple(edges))
+    return _assemble((mode, parts), "s", "t")
 
 
 def _leaf_weight(weights, label: str) -> Fraction:
@@ -158,42 +166,33 @@ def _leaf_weight(weights, label: str) -> Fraction:
     return w
 
 
+def _formula_network(f: Formula, weight, s: str, t: str) -> Network:
+    """Leaf i is the edge ``x{i}`` of weight ``weight("x{i}")``."""
+    tree = fold(f, lambda g: single_edge(f"x{g.var}", weight(f"x{g.var}")),
+                lambda parts: (SERIES, parts), lambda parts: (PARALLEL, parts))
+    return _assemble(tree, s, t, f)
+
+
 def formula_graph(f: Formula, weights: Mapping[str, Fraction] | None = None) -> Network:
     """The two-terminal series-parallel network of a read-once formula.
 
     Leaf i becomes the single edge labeled ``x{i}``; AND composes children in
-    series, OR in parallel.  ``weights`` maps edge labels to rationals and
+    series, OR in parallel, and the whole tree is assembled in one pass with
+    terminals ``s`` and ``t``.  ``weights`` maps edge labels to rationals and
     defaults to all ones; a non-empty mapping must cover every label.
     """
-    net = fold(f, lambda g: single_edge(f"x{g.var}", _leaf_weight(weights, f"x{g.var}")),
-               partial(compose_networks, SERIES), partial(compose_networks, PARALLEL))
-    return replace(net, formula=f)
-
-
-def _rename_vertices(net: Network, mapping: Mapping[str, str]) -> Network:
-    def nm(v):
-        return mapping.get(v, v)
-
-    return Network(
-        tuple(nm(v) for v in net.vertices),
-        nm(net.s),
-        nm(net.t),
-        tuple(Edge(nm(e.u), nm(e.v), e.label, e.weight) for e in net.edges),
-        formula=net.formula,
-    )
+    return _formula_network(f, partial(_leaf_weight, weights), "s", "t")
 
 
 def dual_network(f: Formula, weights: Mapping[str, Fraction] | None = None) -> Network:
     """Structural dual of ``formula_graph(f, weights)``.
 
-    Gates are swapped via the dual formula, terminals become ``s'``/``t'``,
+    Gates are swapped via the dual formula, the terminals are ``s'``/``t'``,
     and each dual edge carries the reciprocal weight of its primal partner.
     A non-empty ``weights`` must cover every label, as for the primal.
     """
-    dual_weights = {f"x{i}": 1 / _leaf_weight(weights, f"x{i}")
-                    for i in range(f.first_var, f.first_var + f.n_vars)}
-    net = formula_graph(dual_formula(f), dual_weights)
-    return _rename_vertices(net, {"s": "s'", "t": "t'"})
+    return _formula_network(dual_formula(f), lambda label: 1 / _leaf_weight(weights, label),
+                            "s'", "t'")
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,11 @@ def _shift_field(field, shift):
     return wrap
 
 
+def _float_hair(value):
+    # a hair measured against the suites' 1e-9 and 1e-7 relative tolerances
+    return value + 1e-6
+
+
 def _drop_last_path(fn):
     return lambda net, budget: fn(net, budget)[:-1]
 
@@ -132,34 +137,50 @@ def _energy_plus_hair(fn):
     return wrapped
 
 
+# case -> (module, route, wrap, start of the suite's FAIL detail).  A case is
+# named after its suite, or "suite/check" for a further check of that suite.
 PERTURBATIONS = {
-    "witness-resistance": (verify, "positive_witness", _shift_field("size", _hair)),
-    "connectivity": (verify, "simple_st_paths", _drop_last_path),
-    "weight-certificates": (verify, "formula_resistance", _plus_hair),
+    "witness-resistance": (verify, "positive_witness", _shift_field("size", _hair),
+                           "exact mismatch"),
+    "witness-resistance/float-positive": (
+        verify, "positive_witness", _shift_field("size_float", _float_hair),
+        "float positive mismatch"),
+    "witness-resistance/float-negative": (
+        verify, "negative_witness", _shift_field("size_float", _float_hair),
+        "float negative mismatch"),
+    "connectivity": (verify, "simple_st_paths", _drop_last_path, "mismatch on"),
+    "weight-certificates": (verify, "formula_resistance", _plus_hair,
+                            "sweep disagrees with certificate"),
     # the max-flow backend only, so the two cut routes disagree
-    "nand-cut": (electrical, "_max_flow_value", _plus_hair),
-    "reference-instance": (verify, "fault_complexity", _shift_field("f_a", _hair)),
-    "fault-bound": (verify, "subtree_resistance", _plus_hair),
-    "resistance-product": (bounds, "formula_resistance", _plus_hair),
-    "example-families": (bounds, "cut_size", _plus_hair),
-    "bound-dominance": (bounds, "formula_resistance", _plus_hair),
+    "nand-cut": (electrical, "_max_flow_value", _plus_hair, "d=0 x=(0,)"),
+    "reference-instance": (verify, "fault_complexity", _shift_field("f_a", _hair),
+                           "value=1, F_A=4000000001/1000000000"),
+    "fault-bound": (verify, "subtree_resistance", _plus_hair, "violated at"),
+    "resistance-product": (bounds, "formula_resistance", _plus_hair, "[('and', 2, 1)]: "),
+    "example-families": (bounds, "cut_size", _plus_hair, "line n="),
+    "bound-dominance": (bounds, "formula_resistance", _plus_hair, "ordering violated"),
     "game-strategy": (verify, "simulate_game",
-                      _shift_field("wins", lambda wins: wins - 1)),
-    # a hair measured against the suite's 1e-7 tolerance
+                      _shift_field("wins", lambda wins: wins - 1), "d=2: lost 1 games"),
     "approx-witness": (verify, "approx_positive_witness",
-                       _shift_field("size", lambda size: size + 1e-6)),
-    "flow-decomposition": (verify, "optimal_flow", _energy_plus_hair),
+                       _shift_field("size", _float_hair), "solver/reference gap"),
+    "flow-decomposition": (verify, "optimal_flow", _energy_plus_hair, "energy mismatch"),
+    "flow-decomposition/recomposition": (
+        verify, "recompose",
+        _shift_field("values", lambda values: {k: v + HAIR for k, v in values.items()}),
+        "recomposition mismatch"),
 }
 
 
 def test_every_suite_has_a_perturbation():
-    assert set(PERTURBATIONS) == set(CRITERIA)
+    assert {case.partition("/")[0] for case in PERTURBATIONS} == set(CRITERIA)
 
 
-@pytest.mark.parametrize("name", list(PERTURBATIONS))
-def test_perturbed_route_fails_its_suite(name, monkeypatch):
-    module, attr, wrap = PERTURBATIONS[name]
+@pytest.mark.parametrize("case", list(PERTURBATIONS))
+def test_perturbed_route_fails_its_suite(case, monkeypatch):
+    module, attr, wrap, detail = PERTURBATIONS[case]
+    name = case.partition("/")[0]
     monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
     result = run_criterion(name)
     assert result.name == name
     assert result.passed is False, result.detail
+    assert result.detail.startswith(detail), result.detail

@@ -209,6 +209,24 @@ def test_nonpositive_weights_exit_one(capsys, tmp_path, argv, bad):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc, named", [
+    ("[1, 2]", "JSON object"), ('"x1"', "JSON object"),
+    ('{"x1": null, "x2": 1}', "'x1'"), ('{"x1": [1], "x2": 1}', "'x1'"),
+    ('{"x1": {}, "x2": 1}', "'x1'"), ('{"x1": true, "x2": 1}', "'x1'"),
+    ('{"x1": 1, "x2": "1/0"}', "'x2'"), ('{"x1": 1, "x2": Infinity}', "'x2'"),
+    ('{"x1": NaN, "x2": 1}', "'x1'"), ('{"x1": "abc", "x2": 1}', "'x1'"),
+])
+@pytest.mark.parametrize("argv", [["graph"], ["witness", "-x", "11"]])
+def test_malformed_weights_file_exits_one(capsys, tmp_path, argv, doc, named):
+    path = tmp_path / "w.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, *argv, "-f", "x1&x2", "--weights", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
 def test_missing_weights_file_exits_one(capsys, tmp_path):
     code, _out, err = run(capsys, "witness", "-f", "x1&x2", "-x", "11",
                           "--weights", str(tmp_path / "absent.json"))

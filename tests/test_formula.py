@@ -149,6 +149,19 @@ def test_nand_tree_counts(d):
         assert (f.kind == "or") == (d % 2 == 0)
 
 
+@pytest.mark.parametrize("d", range(14))
+def test_nand_tree_pairs_neighbours_bottom_up(d):
+    # level r pairs adjacent nodes of level r - 1 under an AND (r odd) or OR
+    level = [leaf(i) for i in range(1, 2 ** d + 1)]
+    for r in range(1, d + 1):
+        kind = "and" if r % 2 else "or"
+        level = [gate(kind, level[i:i + 2]) for i in range(0, len(level), 2)]
+    [want] = level
+    f = build_nand_tree(d)
+    assert f == want
+    assert (render(f), repr(f)) == (render(want), repr(want))
+
+
 # ---------------------------------------------------------------------------
 # dual and negation
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from formulaflow import (
     DUAL,
     PARALLEL,
     SERIES,
+    Edge,
+    Network,
     build_nand_tree,
     compose_networks,
     dual_formula,
@@ -27,6 +31,7 @@ from formulaflow import (
 from formulaflow import gate, leaf
 from formulaflow.electrical import terminals_connected
 from formulaflow.errors import LabelCollisionError
+from formulaflow.formula import AND, OR, fold
 from formulaflow.graphs import to_dot
 
 
@@ -68,6 +73,56 @@ def test_series_reproduces_three_part_counts():
 def test_label_collision_rejected():
     with pytest.raises(LabelCollisionError):
         compose_networks(SERIES, [single_edge("x1"), single_edge("x1")])
+
+
+def test_unknown_mode_rejected():
+    with pytest.raises(ValueError, match="unknown composition mode"):
+        compose_networks("diagonal", [single_edge("x1"), single_edge("x2")])
+
+
+def _hand_built_parts():
+    # terminals mid-tuple, t before s, and terminals not named s/t
+    p1 = Network(("a", "s", "b", "t", "c"), "s", "t",
+                 (Edge("s", "a", "y1", Fraction(1)), Edge("a", "b", "y2", Fraction(2)),
+                  Edge("b", "t", "y3", Fraction(1, 3)), Edge("t", "c", "y4", Fraction(1))))
+    p2 = Network(("u", "t", "s"), "s", "t",
+                 (Edge("s", "u", "z1", Fraction(1)), Edge("u", "t", "z2", Fraction(5))))
+    p3 = Network(("in", "m", "out"), "in", "out",
+                 (Edge("in", "m", "w1", Fraction(1)), Edge("out", "m", "w2", Fraction(1))))
+    return p1, p2, p3
+
+
+def _layout(net):
+    return net.vertices, net.s, net.t, [(e.u, e.v, e.label) for e in net.edges]
+
+
+# A series junction is listed where the part before it lists its t, or after a
+# composed part's whole subtree; interior vertices keep their part's order.
+PINNED_SERIES = (
+    ("s", "1.a", "1.b", "s2", "1.c", "2.u", "s3", "3.m", "t"), "s", "t",
+    [("s", "1.a", "y1"), ("1.a", "1.b", "y2"), ("1.b", "s2", "y3"), ("s2", "1.c", "y4"),
+     ("s2", "2.u", "z1"), ("2.u", "s3", "z2"), ("s3", "3.m", "w1"), ("t", "3.m", "w2")])
+PINNED_NESTED = (
+    ("s", "1.1.a", "1.1.b", "1.1.c", "1.2.u", "s2", "2.m", "t"), "s", "t",
+    [("s", "1.1.a", "y1"), ("1.1.a", "1.1.b", "y2"), ("1.1.b", "s2", "y3"),
+     ("s2", "1.1.c", "y4"), ("s", "1.2.u", "z1"), ("1.2.u", "s2", "z2"),
+     ("s2", "2.m", "w1"), ("t", "2.m", "w2")])
+PINNED_PARALLEL = (
+    ("s", "1.m", "2.a", "2.b", "2.c", "3.u", "t"), "s", "t",
+    [("s", "1.m", "w1"), ("t", "1.m", "w2"), ("s", "2.a", "y1"), ("2.a", "2.b", "y2"),
+     ("2.b", "t", "y3"), ("t", "2.c", "y4"), ("s", "3.u", "z1"), ("3.u", "t", "z2")])
+
+
+def test_series_vertex_order_of_hand_built_parts():
+    p1, p2, p3 = _hand_built_parts()
+    assert _layout(compose_networks(SERIES, [p1, p2, p3])) == PINNED_SERIES
+    nested = compose_networks(SERIES, [compose_networks(PARALLEL, [p1, p2]), p3])
+    assert _layout(nested) == PINNED_NESTED
+
+
+def test_parallel_vertex_order_of_hand_built_parts():
+    p1, p2, p3 = _hand_built_parts()
+    assert _layout(compose_networks(PARALLEL, [p3, p1, p2])) == PINNED_PARALLEL
 
 
 def test_composition_is_deterministic():
@@ -140,6 +195,48 @@ def test_dual_partial_weights_name_the_missing_label():
 def test_nonpositive_weights_name_the_label(host, bad):
     with pytest.raises(ValueError, match="edge 'x1' needs a positive rational weight"):
         host(parse_formula("x1&x2"), {"x1": bad, "x2": Fraction(1)})
+
+
+def _with_negations(f, negated):
+    return fold(f, lambda g: leaf(g.var, negated=g.var in negated),
+                partial(gate, AND), partial(gate, OR))
+
+
+GOLDEN_DIGEST = "8c4ec57444f81ed327f4695f94b7459087838783106c3a91642be9a457ce0659"
+
+
+def test_formula_networks_match_golden_digest():
+    # seeded random formulas with negated leaves, unit and p/q weights, plus
+    # NAND trees: the JSON and DOT bytes of both networks, and their formulas
+    rng = np.random.default_rng(606)
+    formulas = [build_nand_tree(d) for d in range(6)]
+    for n in [*range(1, 25), 40, 64]:
+        f = random_formula(rng, n, max_fanin=4)
+        negated = {int(v) + 1 for v in rng.choice(n, size=n // 3, replace=False)}
+        formulas.append(_with_negations(f, negated))
+    digest = hashlib.sha256()
+    for f in formulas:
+        weights = {f"x{i}": Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 10)))
+                   for i in range(1, f.n_vars + 1)}
+        for w in (None, weights):
+            for net in (formula_graph(f, w), dual_network(f, w)):
+                digest.update(export(net, "json") + export(net, "dot"))
+                digest.update(f"{net.formula}|{sorted(net.negated_labels)}".encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def test_deep_alternating_chain_builds_both_networks():
+    # 3,000 alternating two-input gates, each with a fresh leaf on the right
+    f = leaf(1)
+    for level in range(3000):
+        f = gate(AND if level % 2 == 0 else OR, [f, leaf(level + 2)])
+    net, dnet = formula_graph(f), dual_network(f)
+    # one series junction per AND gate in the primal, per OR gate in the dual
+    assert (len(net.vertices), len(net.edges)) == (1502, 3001)
+    assert (len(dnet.vertices), len(dnet.edges)) == (1502, 3001)
+    assert net.labels == dnet.labels == tuple(f"x{i}" for i in range(1, 3002))
+    assert net.formula is f
+    assert (f.kind, dnet.formula.kind, dnet.formula.n_vars) == (OR, AND, 3001)
 
 
 # ---------------------------------------------------------------------------
