@@ -39,7 +39,7 @@ from .errors import (
     SearchBudgetError,
 )
 from .extended import is_inf
-from .formula import all_inputs, parse_formula, render
+from .formula import AND, OR, all_inputs, fold, parse_formula, render
 from .graphs import (
     DUAL,
     PRIMAL,
@@ -101,20 +101,20 @@ def _json_value(value):
     return value if isinstance(value, float) and not is_inf(value) else _fmt(value)
 
 
-def _tree_lines(f, indent=0):
-    pad = "  " * indent
-    if f.is_leaf:
-        yield f"{pad}{'~' if f.negated else ''}x{f.var}"
-        return
-    yield f"{pad}{f.kind}"
-    for child in f.children:
-        yield from _tree_lines(child, indent + 1)
+def _tree_lines(f):
+    stack = [(f, 0)]  # preorder, each node with its depth
+    while stack:
+        g, depth = stack.pop()
+        yield "  " * depth + (f"{'~' if g.negated else ''}x{g.var}" if g.is_leaf else g.kind)
+        stack.extend((child, depth + 1) for child in reversed(g.children))
 
 
-def _formula_doc(f):
-    if f.is_leaf:
-        return {"leaf": f.var, "negated": f.negated}
-    return {"gate": f.kind, "children": [_formula_doc(c) for c in f.children]}
+def _formula_doc(f) -> str:
+    """The ``json.dumps`` text of the nested tree, built without recursion."""
+    def at_gate(kind):
+        return lambda docs: f'{{"gate": "{kind}", "children": [{", ".join(docs)}]}}'
+    return fold(f, lambda g: f'{{"leaf": {g.var}, "negated": {json.dumps(g.negated)}}}',
+                at_gate(AND), at_gate(OR))
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +124,8 @@ def _formula_doc(f):
 def _cmd_parse(args) -> int:
     f = parse_formula(args.formula)
     if args.json:
-        print(json.dumps({"formula": render(f), "n": f.n_vars,
-                          "depth": f.depth(), "tree": _formula_doc(f)}))
+        print(f'{{"formula": {json.dumps(render(f))}, "n": {f.n_vars}, '
+              f'"depth": {f.depth()}, "tree": {_formula_doc(f)}}}')
     else:
         print("\n".join(_tree_lines(f)))
         print(f"normalized: {render(f)}")

@@ -15,6 +15,9 @@ Grammar accepted by :func:`parse_formula` (whitespace ignored)::
     factor := '~' factor | '(' expr ')' | var
     var    := 'x' [1-9][0-9]*
 
+It reads the tokens once, left to right, with an explicit stack of open
+groups, so nesting depth is not bounded by Python's recursion limit.
+
 Assignments are given most-significant-first: character 0 instantiates x1.
 """
 
@@ -42,9 +45,12 @@ OR = "or"
 LEAF = "leaf"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Formula:
-    """Immutable formula node.  Use the module constructors, not this directly."""
+    """Immutable formula node.  Use the module constructors, not this directly.
+
+    ``==``, ``hash`` and ``repr`` act as the dataclass ones, without recursion.
+    """
 
     kind: str
     var: int = 0
@@ -111,6 +117,33 @@ class Formula:
     def __str__(self):
         return render(self)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        left, right = [self], [other]  # explicit stacks, popped in step
+        while left:
+            a, b = left.pop(), right.pop()
+            if a is not b:
+                if (a.kind != b.kind or a.var != b.var or a.negated != b.negated
+                        or len(a.children) != len(b.children)):
+                    return False
+                left.extend(a.children)
+                right.extend(b.children)
+        return True
+
+    def __hash__(self):
+        return hash(tuple((g.kind, g.var, g.negated, len(g.children)) for g in self._order))
+
+    def __repr__(self):
+        parts = []
+        for g in postorder(self):  # leaves no cached order behind
+            first = len(parts) - len(g.children)
+            children = ", ".join(parts[first:])
+            del parts[first:]
+            parts.append(f"Formula(kind={g.kind!r}, var={g.var!r}, negated={g.negated!r}, "
+                         f"children=({children}), n_vars={g.n_vars!r}, first_var={g.first_var!r})")
+        return parts[0]
+
 
 def _deeper(values) -> int:
     return 1 + max(values)
@@ -132,23 +165,16 @@ def gate(kind: str, children: Sequence[Formula]) -> Formula:
 # parsing and rendering
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(x[1-9][0-9]*)|([()&|~]))")
+_TOKEN = re.compile(r"\s*(?:(x[1-9][0-9]*|[()&|~])|(\S))")
 
 
 def _tokenize(text: str):
-    pos = 0
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise FormulaSyntaxError(f"unexpected character {stripped[0]!r}", pos)
-        out.append((m.group(1) or m.group(2), m.start(1) if m.group(1) else m.start(2)))
-        pos = m.end()
-    out.append((None, len(text)))
-    return out
+    for m in _TOKEN.finditer(text):
+        if m.group(2):
+            raise FormulaSyntaxError(f"unexpected character {m.group(2)!r}", m.start())
+        out.append((m.group(1), m.start(1)))
+    return out + [(None, len(text))]
 
 
 def parse_formula(text: str) -> Formula:
@@ -157,101 +183,66 @@ def parse_formula(text: str) -> Formula:
     Raises :class:`FormulaSyntaxError` on malformed input and
     :class:`ReadOnceError` if any variable labels more than one leaf.
     """
-    tokens = _tokenize(text)
-    index = 0
-
-    def peek():
-        return tokens[index][0]
-
-    def advance():
-        nonlocal index
-        tok = tokens[index]
-        index += 1
-        return tok
-
-    def expect(symbol):
-        tok, pos = advance()
-        if tok != symbol:
-            raise FormulaSyntaxError(f"expected {symbol!r}, found {tok!r}", pos)
-
-    # raw nodes: ("leaf", var), ("not", node), (AND/OR, [children])
-    def parse_expr():
-        terms = [parse_term()]
-        while peek() == "|":
-            advance()
-            terms.append(parse_term())
-        return (OR, terms) if len(terms) > 1 else terms[0]
-
-    def parse_term():
-        factors = [parse_factor()]
-        while peek() == "&":
-            advance()
-            factors.append(parse_factor())
-        return (AND, factors) if len(factors) > 1 else factors[0]
-
-    def parse_factor():
-        tok, pos = advance()
-        if tok == "~":
-            return ("not", parse_factor())
-        if tok == "(":
-            node = parse_expr()
-            expect(")")
-            return node
-        if tok is not None and tok.startswith("x"):
-            return ("leaf", int(tok[1:]))
-        raise FormulaSyntaxError(f"expected '~', '(' or variable, found {tok!r}", pos)
-
-    root = parse_expr()
-    tok, pos = tokens[index]
-    if tok is not None:
-        raise FormulaSyntaxError(f"trailing input {tok!r}", pos)
-
-    # push negations to the leaves and flatten same-kind nesting
-    seen = []
-
-    def normalize(node, neg):
-        head = node[0]
-        if head == "leaf":
-            seen.append(node[1])
-            return ("leaf", node[1], neg)
-        if head == "not":
-            return normalize(node[1], not neg)
-        kind = head if not neg else (AND if head == OR else OR)
-        flat = []
-        for child in node[1]:
-            norm = normalize(child, neg)
-            if norm[0] == kind:
-                flat.extend(norm[1])
+    # One pass over the tokens with a stack of open groups.  A group is
+    # [parity, closed terms, factors of the open term]; its parity carries the
+    # negations over it, under which '&' builds an OR and '|' an AND.  A value
+    # is a leaf or a gate still open to flattening, (kind, children).
+    groups = [[False, [], []]]
+    neg, operand = False, True  # parity of the '~'s since the last operand; one is due
+    seen, number = Counter(), itertools.count(1)
+    for tok, pos in _tokenize(text):
+        parity, terms, factors = groups[-1]
+        if operand:
+            if tok == "~":
+                neg = not neg
+            elif tok == "(":
+                groups.append([parity ^ neg, [], []])
+                neg = False
+            elif tok is not None and tok.startswith("x"):
+                seen[tok] += 1
+                factors.append(leaf(next(number), negated=parity ^ neg))
+                neg, operand = False, False
             else:
-                flat.append(norm)
-        return (kind, flat)
-
-    norm = normalize(root, False)
-    duplicates = [v for v, k in Counter(seen).items() if k > 1]
+                raise FormulaSyntaxError(f"expected '~', '(' or variable, found {tok!r}", pos)
+        elif tok == "&":
+            operand = True
+        elif tok == "|":
+            terms.append(_join(OR if parity else AND, factors))
+            groups[-1][2], operand = [], True
+        elif tok == ")" and len(groups) > 1:
+            groups.pop()
+            terms.append(_join(OR if parity else AND, factors))
+            groups[-1][2].append(_join(AND if parity else OR, terms))
+        elif len(groups) > 1:
+            raise FormulaSyntaxError(f"expected ')', found {tok!r}", pos)
+        elif tok is not None:
+            raise FormulaSyntaxError(f"trailing input {tok!r}", pos)
+    duplicates = [int(tok[1:]) for tok, k in seen.items() if k > 1]
     if duplicates:
         raise ReadOnceError(f"variables repeated: {sorted(duplicates)}")
+    terms.append(_join(AND, factors))
+    root = _join(OR, terms)
+    return gate(*root) if isinstance(root, tuple) else root
 
-    counter = itertools.count(1)
 
-    def build(node):
-        if node[0] == "leaf":
-            return leaf(next(counter), negated=node[2])
-        return gate(node[0], [build(c) for c in node[1]])
-
-    return build(norm)
+def _join(kind, values):
+    """One value, or a ``kind`` gate over several with same-kind gates merged."""
+    if len(values) == 1:
+        return values[0]
+    children = []
+    for v in values:
+        if isinstance(v, tuple) and v[0] == kind:
+            children.extend(v[1])
+        else:
+            children.append(gate(*v) if isinstance(v, tuple) else v)
+    return kind, children
 
 
 def render(f: Formula) -> str:
     """Formula text that parses back to ``f``."""
-    if f.is_leaf:
-        return ("~" if f.negated else "") + f"x{f.var}"
-    if f.kind == OR:
-        return "|".join(render(c) for c in f.children)
-    parts = []
-    for c in f.children:
-        text = render(c)
-        parts.append(f"({text})" if c.kind == OR else text)
-    return "&".join(parts)
+    return fold(f, lambda g: (("~" if g.negated else "") + f"x{g.var}", False),
+                lambda parts: ("&".join([f"({t})" if is_or else t for t, is_or in parts]), False),
+                lambda parts: ("|".join([t for t, _ in parts]), True))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +288,8 @@ def fold(f: Formula, leaf, at_and, at_or):
     ``leaf(g)`` gives the value of leaf ``g``; ``at_and(values)`` and
     ``at_or(values)`` combine the values of a gate's children, left to right.
     The order is walked by :func:`postorder` once per node object and kept in
-    its instance ``__dict__``; it is not a field, so ``==``, ``hash`` and
-    ``repr`` ignore it, and every later fold of the same node reuses it.
+    its instance ``__dict__`` (not a field), so every later fold of the same
+    node, and its ``hash``, reuse it.
     """
     values = []
     for g in f._order:
@@ -605,7 +596,7 @@ def random_formula(rng, n_vars: int, max_fanin: int = 3) -> Formula:
         if n == 1:
             return leaf(offset + 1)
         fanin = int(rng.integers(2, min(max_fanin, n) + 1))
-        cuts = sorted(rng.choice(n - 1, size=fanin - 1, replace=False) + 1)
+        cuts = sorted(int(c) + 1 for c in rng.choice(n - 1, size=fanin - 1, replace=False))
         bounds = [0, *cuts, n]
         other = AND if kind == OR else OR
         children = [build(other, bounds[i + 1] - bounds[i], offset + bounds[i])

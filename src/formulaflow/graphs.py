@@ -104,10 +104,11 @@ def single_edge(label: str, weight=Fraction(1), s: str = "s", t: str = "t") -> N
 # ---------------------------------------------------------------------------
 
 def _assemble(tree, s: str, t: str, formula: Formula | None = None) -> Network:
-    """The network of a composition tree, whose nodes are ``Network`` parts or
+    """The network of a composition tree, whose nodes are ``Network`` parts,
+    bare ``Edge`` parts (placed between the part's terminals) or
     ``(mode, children)`` pairs, walked top-down once.  A series junction is
-    listed where the part before it lists its ``t``, or after the whole
-    subtree of a composed part."""
+    listed where a ``Network`` part before it lists its ``t``, or else after
+    the whole subtree of the part before it."""
     vertices, edges = [s], []
     stack = [(tree, s, t, None, "")]  # node, its s and t, junction after it, prefix
     while stack:
@@ -126,6 +127,11 @@ def _assemble(tree, s: str, t: str, formula: Formula | None = None) -> Network:
             edges.extend(Edge(names.get(e.u) or prefix + e.u, names.get(e.v) or prefix + e.v,
                               e.label, e.weight) for e in node.edges)
             continue
+        if junction:
+            stack.append(junction)
+        if isinstance(node, Edge):
+            edges.append(Edge(a, b, node.label, node.weight))
+            continue
         mode, children = node
         k = len(children)
         if mode == SERIES:
@@ -136,8 +142,6 @@ def _assemble(tree, s: str, t: str, formula: Formula | None = None) -> Network:
             ends = [(a, b, None)] * k
         else:
             raise ValueError(f"unknown composition mode {mode!r}")
-        if junction:
-            stack.append(junction)
         for i in reversed(range(k)):
             stack.append((children[i], *ends[i], f"{prefix}{i + 1}."))
     vertices.append(t)
@@ -168,7 +172,7 @@ def _leaf_weight(weights, label: str) -> Fraction:
 
 def _formula_network(f: Formula, weight, s: str, t: str) -> Network:
     """Leaf i is the edge ``x{i}`` of weight ``weight("x{i}")``."""
-    tree = fold(f, lambda g: single_edge(f"x{g.var}", weight(f"x{g.var}")),
+    tree = fold(f, lambda g: Edge(s, t, f"x{g.var}", weight(f"x{g.var}")),
                 lambda parts: (SERIES, parts), lambda parts: (PARALLEL, parts))
     return _assemble(tree, s, t, f)
 

@@ -424,31 +424,32 @@ def optimal_weights(f: Formula) -> WeightCertificate:
     reciprocal of that child's negative extremum (making its own negative
     extremum exactly one); an OR gate symmetrically rescales by the child's
     positive extremum.  The per-gate extrema compose exactly, so the product
-    is certified without enumeration.
+    is certified without enumeration.  The extrema come bottom-up over the
+    post-order, and each leaf's weight (the product of the factors on its
+    root path) top-down, one product per node.
     """
-    scalings = []
-
-    def rec(g: Formula, path: str):
+    order = f._order
+    extrema, factors, kids, stack = [], [None] * len(order), [], []
+    for j, g in enumerate(order):
+        first = len(stack) - len(g.children)
+        kids.append(stack[first:])
+        stack[first:] = [j]
         if g.is_leaf:
-            return {f"x{g.var}": Fraction(1)}, Fraction(1, 2), Fraction(2)
-        weights = {}
-        w_plus = Fraction(0)
-        w_minus = Fraction(0)
-        for i, child in enumerate(g.children):
-            cw, cp, cm = rec(child, f"{path}.{i}" if path else str(i))
-            if g.kind == AND:
-                factor = 1 / cm
-                w_plus += cm * cp
-            else:
-                factor = cp
-                w_minus += cp * cm
-            scalings.append((f"{path}.{i}" if path else str(i), factor))
-            for label, w in cw.items():
-                weights[label] = w * factor
-        if g.kind == AND:
-            return weights, w_plus, Fraction(1)
-        return weights, Fraction(1), w_minus
-
-    weights, w_plus, w_minus = rec(f, "")
-    return WeightCertificate(weights, w_plus * w_minus, f.n_vars,
-                             w_plus, w_minus, tuple(scalings))
+            extrema.append((Fraction(1, 2), Fraction(2)))
+            continue
+        total = Fraction(0)
+        for c in kids[j]:
+            cp, cm = extrema[c]
+            factors[c] = 1 / cm if g.kind == AND else cp
+            total += cp * cm
+        extrema.append((total, Fraction(1)) if g.kind == AND else (Fraction(1), total))
+    root = len(order) - 1
+    paths, scale = {root: ""}, {root: Fraction(1)}
+    for j in reversed(range(len(order))):
+        for i, c in enumerate(kids[j]):
+            paths[c] = f"{paths[j]}.{i}" if paths[j] else str(i)
+            scale[c] = scale[j] * factors[c]
+    weights = {f"x{g.var}": scale[j] for j, g in enumerate(order) if g.is_leaf}
+    w_plus, w_minus = extrema[-1]
+    return WeightCertificate(weights, w_plus * w_minus, f.n_vars, w_plus, w_minus,
+                             tuple((paths[c], factors[c]) for c in range(root)))

@@ -542,8 +542,9 @@ def check_approx_witness() -> str:
 # ---------------------------------------------------------------------------
 
 def check_flow_decomposition() -> str:
-    """Optimal flows satisfy the flow axioms exactly; decompositions
-    recompose exactly with signed path coefficients summing to one."""
+    """Optimal flows satisfy the flow axioms exactly and their energy equals
+    the effective resistance; decompositions recompose exactly with signed
+    path coefficients summing to one."""
     rng = np.random.default_rng(23)
     flows = 0
     for _ in range(40):
@@ -559,6 +560,9 @@ def check_flow_decomposition() -> str:
             check_unit_flow(sub, flow)
             if energy != flow_energy(sub, flow):
                 raise SuiteFailure("energy mismatch")
+            # Thomson's principle: only the optimal unit flow has energy R
+            if energy != effective_resistance(sub, EXACT_SP):
+                raise SuiteFailure("energy above the effective resistance")
             pieces = decompose_flow(flow)
             if recompose(pieces).values != flow.values:
                 raise SuiteFailure("recomposition mismatch")

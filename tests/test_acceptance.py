@@ -4,17 +4,22 @@ Each test executes the corresponding suite from formulaflow.verify at its
 full pinned size and tolerance through ``run_suite``, the runner behind the
 ``formulaflow verify`` command, which prints the one-line outcome (run
 pytest with -s or check the captured output).  The perturbation tests at the
-end knock one production route of each suite a hair off and check that the
-suite then fails, so every oracle is shown to be live.
+end knock one production route a hair off for each failure check of each
+suite and check that the suite then fails there, so every oracle is shown to
+be live.
 """
 
+import ast
 import dataclasses
+import inspect
+import operator
 from fractions import Fraction
 
 import pytest
 
 from formulaflow import bounds, electrical, verify
 from formulaflow.extended import INF
+from formulaflow.formula import Formula
 from formulaflow.verify import CRITERIA, run_criterion, run_suite
 
 
@@ -91,8 +96,8 @@ def test_11_approx_witnesses_and_paths():
 
 
 def test_12_flow_axioms_and_decomposition():
-    # optimal flows: exact axioms, exact recomposition, path coefficients
-    # summing to one
+    # optimal flows: exact axioms, energy equal to the effective resistance,
+    # exact recomposition, path coefficients summing to one
     _run("flow-decomposition")
 
 
@@ -137,6 +142,55 @@ def _energy_plus_hair(fn):
     return wrapped
 
 
+def _one_path_flow(fn):
+    """A valid but non-optimal unit flow: all of it on the first s-t path,
+    reported with its true energy."""
+    def wrapped(sub):
+        values, here = {}, sub.s
+        for e in electrical.simple_st_paths(sub)[0]:
+            there = e.v if e.u == here else e.u
+            values[(here, there, e.label)] = 1
+            here = there
+        flow = electrical.flow_from_directed(values)
+        return flow, electrical.flow_energy(sub, flow)
+    return wrapped
+
+
+def _squared_values(fn):
+    # bound figures missing their square root double every fitted exponent
+    return lambda sizes, values: fn(sizes, [v * v for v in values])
+
+
+def _unit_weights_only(wrap):
+    """Apply ``wrap`` only to the calls made with ``unit_weights=True``."""
+    def outer(fn):
+        shifted = wrap(fn)
+        return lambda *args, **kwargs: (shifted if kwargs.get("unit_weights") else fn)(
+            *args, **kwargs)
+    return outer
+
+
+def _one_short(fn):
+    return lambda f: fn(f) - 1
+
+
+def _first_path_as_cycle(fn):
+    # a path misfiled as a cycle: the flow still recomposes
+    def wrapped(flow):
+        (coeff, _kind, edges), *rest = fn(flow)
+        return [(coeff, "cycle", edges), *rest]
+    return wrapped
+
+
+def _spurious_cycles(fn):
+    # a piece and its negation: the flow still recomposes, the paths still sum to one
+    def wrapped(flow):
+        pieces = fn(flow)
+        edges = pieces[0][2]
+        return [*pieces, (HAIR, "cycle", edges), (-HAIR, "cycle", edges)]
+    return wrapped
+
+
 # case -> (module, route, wrap, start of the suite's FAIL detail).  A case is
 # named after its suite, or "suite/check" for a further check of that suite.
 PERTURBATIONS = {
@@ -151,6 +205,9 @@ PERTURBATIONS = {
     "connectivity": (verify, "simple_st_paths", _drop_last_path, "mismatch on"),
     "weight-certificates": (verify, "formula_resistance", _plus_hair,
                             "sweep disagrees with certificate"),
+    # the leaf's product is exactly N = 1
+    "weight-certificates/product": (verify, "optimal_weights", _shift_field("bound", _hair),
+                                    "product exceeds N on x1"),
     # the max-flow backend only, so the two cut routes disagree
     "nand-cut": (electrical, "_max_flow_value", _plus_hair, "d=0 x=(0,)"),
     "reference-instance": (verify, "fault_complexity", _shift_field("f_a", _hair),
@@ -158,21 +215,51 @@ PERTURBATIONS = {
     "fault-bound": (verify, "subtree_resistance", _plus_hair, "violated at"),
     "resistance-product": (bounds, "formula_resistance", _plus_hair, "[('and', 2, 1)]: "),
     "example-families": (bounds, "cut_size", _plus_hair, "line n="),
+    "example-families/exponents": (verify, "exponent_fit", _squared_values,
+                                   "line exponents 1.000/0.500"),
+    "example-families/balloon": (verify, "compute_bounds",
+                                 _unit_weights_only(_shift_field("r_max", _hair)),
+                                 "balloon n=4"),
     "bound-dominance": (bounds, "formula_resistance", _plus_hair, "ordering violated"),
     "game-strategy": (verify, "simulate_game",
                       _shift_field("wins", lambda wins: wins - 1), "d=2: lost 1 games"),
+    # the ceiling is about 50x the mean cost, so the route misreports its own check
+    "game-strategy/ceiling": (verify, "simulate_game", _shift_field("bound_ok", operator.not_),
+                              "d=2: mean cost"),
+    "game-strategy/factor-two": (
+        verify, "simulate_game", _shift_field("guarantee_violations", lambda v: v + 1),
+        "d=2: selection guarantee violated"),
     "approx-witness": (verify, "approx_positive_witness",
                        _shift_field("size", _float_hair), "solver/reference gap"),
+    # (x1|x2)&x3&x4's longest path meets its cap, fan-in ** AND depth, exactly
+    "approx-witness/path": (verify, "longest_self_avoiding_path", _plus_hair,
+                            "path bound violated"),
+    # an OR depth one short puts the negative-size cap a level too low
+    "approx-witness/size": (Formula, "or_depth", _one_short, "size bound violated"),
     "flow-decomposition": (verify, "optimal_flow", _energy_plus_hair, "energy mismatch"),
+    "flow-decomposition/thomson": (verify, "optimal_flow", _one_path_flow,
+                                   "energy above the effective resistance"),
     "flow-decomposition/recomposition": (
         verify, "recompose",
         _shift_field("values", lambda values: {k: v + HAIR for k, v in values.items()}),
         "recomposition mismatch"),
+    "flow-decomposition/coefficients": (verify, "decompose_flow", _first_path_as_cycle,
+                                        "path coefficients sum != 1"),
+    "flow-decomposition/cycles": (verify, "decompose_flow", _spurious_cycles,
+                                  "optimal flow decomposed with a cycle"),
 }
 
 
 def test_every_suite_has_a_perturbation():
     assert {case.partition("/")[0] for case in PERTURBATIONS} == set(CRITERIA)
+
+
+def test_every_failure_site_has_a_perturbation():
+    # one case per ``raise SuiteFailure(...)`` in the suites, so none is unreachable
+    sites = [node for node in ast.walk(ast.parse(inspect.getsource(verify)))
+             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+             and getattr(node.exc.func, "id", None) == "SuiteFailure"]
+    assert len(sites) == len(PERTURBATIONS)
 
 
 @pytest.mark.parametrize("case", list(PERTURBATIONS))

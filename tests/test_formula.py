@@ -179,6 +179,15 @@ def test_dual_is_involution():
         assert dual_formula(dual_formula(f)) == f
 
 
+def test_random_formula_stores_plain_ints():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 5, 17, 40):
+        f = random_formula(rng, n, max_fanin=4)
+        for g in f._order:
+            assert type(g.var) is int and type(g.n_vars) is int and type(g.first_var) is int
+        assert repr(f) == repr(parse_formula(render(f)))
+
+
 def test_dual_complement_identity_exhaustive():
     # dual(f)(x) == not f(complement x), checked on every input up to N = 12
     rng = np.random.default_rng(7)
