@@ -39,7 +39,7 @@ from .errors import (
     SearchBudgetError,
 )
 from .extended import is_inf
-from .formula import AND, OR, all_inputs, fold, parse_formula, render
+from .formula import all_inputs, nested_text, parse_formula, render
 from .graphs import (
     DUAL,
     PRIMAL,
@@ -111,10 +111,11 @@ def _tree_lines(f):
 
 def _formula_doc(f) -> str:
     """The ``json.dumps`` text of the nested tree, built without recursion."""
-    def at_gate(kind):
-        return lambda docs: f'{{"gate": "{kind}", "children": [{", ".join(docs)}]}}'
-    return fold(f, lambda g: f'{{"leaf": {g.var}, "negated": {json.dumps(g.negated)}}}',
-                at_gate(AND), at_gate(OR))
+    return nested_text(
+        f,
+        lambda g: (f'{{"leaf": {g.var}, "negated": {json.dumps(g.negated)}}}' if g.is_leaf
+                   else f'{{"gate": "{g.kind}", "children": ['),
+        lambda g: "" if g.is_leaf else "]}")
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +279,9 @@ def _cmd_game(args) -> int:
     if args.json:
         sys.stdout.write(stats.to_json().decode() + "\n")
     else:
+        naive = f"{naive_cost(args.d):.4f}" if args.d else _fmt(None)
         print(f"wins {stats.wins}/{stats.reps}  mean cost {stats.mean_cost:.4f}  "
-              f"bound {stats.bound:.4f}  naive {naive_cost(args.d):.4f}")
+              f"bound {stats.bound:.4f}  naive {naive}")
     return 0
 
 

@@ -2,7 +2,9 @@
 
 Three mutually cross-checking resistance routes work on the network:
 
-* ``exact-sp``   -- series/parallel reduction over exact rationals,
+* ``exact-sp``   -- series/parallel reduction over exact rationals: one
+  worklist eliminates every non-terminal vertex of degree <= 2 (parallel
+  edges merge as they are inserted, so a degree counts neighbours),
 * ``laplacian``  -- float solve of the grounded weighted Laplacian,
 * an exact rational solve of the same grounded Laplacian by the sparse
   minimum-degree kernel :func:`.linalg.solve_grounded_laplacian`, used by
@@ -36,7 +38,7 @@ from .errors import (
     NotSeriesParallelError,
     SearchBudgetError,
 )
-from .extended import INF, parallel_sum
+from .extended import INF
 from .formula import Formula, as_bits, fold
 from .graphs import Network, _leaf_weight, selector_from_assignment, subgraph
 
@@ -48,124 +50,81 @@ LAPLACIAN = "laplacian"
 # connectivity helpers
 # ---------------------------------------------------------------------------
 
-def _reach(edges, start) -> set:
-    """Vertices joined to ``start`` by ``edges``."""
+def _label(edges, starts) -> dict:
+    """Map every vertex that ``edges`` join to one of ``starts`` to the first
+    start that reaches it: one adjacency map, one search per component."""
     adj = defaultdict(list)
     for e in edges:
         adj[e.u].append(e.v)
         adj[e.v].append(e.u)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for v in adj[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+    rep = {}
+    for start in starts:
+        if start not in rep:
+            rep[start] = start
+            stack = [start]
+            while stack:
+                for v in adj[stack.pop()]:
+                    if v not in rep:
+                        rep[v] = start
+                        stack.append(v)
+    return rep
 
 
 def component_of(net: Network, start: str) -> set:
-    return _reach(net.edges, start)
+    return set(_label(net.edges, (start,)))
 
 
 def terminals_connected(net: Network) -> bool:
-    return net.t in component_of(net, net.s)
+    return net.t in _label(net.edges, (net.s,))
 
 
 def components(net: Network) -> dict:
     """Map vertex -> canonical component representative (first in vertex order)."""
-    rep = {}
-    for v in net.vertices:
-        if v not in rep:
-            rep.update(dict.fromkeys(_reach(net.edges, v), v))
-    return rep
+    return _label(net.edges, net.vertices)
 
 
 # ---------------------------------------------------------------------------
 # effective resistance
 # ---------------------------------------------------------------------------
 
+def _insert(resistance: dict, nbrs: dict, u, v, r) -> None:
+    """Put resistance ``r`` between ``u`` and ``v``, in parallel with any there."""
+    key = frozenset((u, v))
+    old = resistance.get(key)
+    resistance[key] = r if old is None else old * r / (old + r)
+    nbrs[u].add(v)
+    nbrs[v].add(u)
+
+
 def _reduce_series_parallel(net: Network):
-    """Exact resistance by repeated pruning, parallel merge, and series contraction."""
+    """Exact resistance by eliminating non-terminal vertices of degree <= 2.
+
+    Parallel edges merge as they are inserted, so a degree counts distinct
+    neighbours.  The worklist starts with every vertex; an eliminated vertex
+    with one neighbour drops its dead-end edge, one with two joins its edges
+    in series, and its neighbours go back on the list.
+    """
     if not terminals_connected(net):
         return INF
     s, t = net.s, net.t
-    resistance = {}
-    ends = {}
-    incident = defaultdict(set)
-    for i, e in enumerate(net.edges):
-        resistance[i] = 1 / e.weight
-        ends[i] = (e.u, e.v)
-        incident[e.u].add(i)
-        incident[e.v].add(i)
-    next_id = len(net.edges)
-
-    def other(eid, v):
-        a, b = ends[eid]
-        return b if a == v else a
-
-    def remove_edge(eid):
-        a, b = ends.pop(eid)
-        incident[a].discard(eid)
-        incident[b].discard(eid)
-        del resistance[eid]
-
-    def add_edge(a, b, r):
-        nonlocal next_id
-        eid = next_id
-        next_id += 1
-        ends[eid] = (a, b)
-        resistance[eid] = r
-        incident[a].add(eid)
-        incident[b].add(eid)
-        return eid
-
-    changed = True
-    while changed:
-        changed = False
-        # prune dead ends
-        stack = [v for v, eids in incident.items() if v not in (s, t) and len(eids) <= 1]
-        while stack:
-            v = stack.pop()
-            if v in (s, t) or len(incident[v]) > 1:
-                continue
-            for eid in list(incident[v]):
-                w = other(eid, v)
-                remove_edge(eid)
-                if w not in (s, t) and len(incident[w]) <= 1:
-                    stack.append(w)
-            incident.pop(v, None)
-            changed = True
-        # merge parallel edges
-        groups = defaultdict(list)
-        for eid, (a, b) in ends.items():
-            groups[frozenset((a, b))].append(eid)
-        for group in groups.values():
-            if len(group) > 1:
-                r = parallel_sum(resistance[eid] for eid in group)
-                a, b = ends[group[0]]
-                for eid in group:
-                    remove_edge(eid)
-                add_edge(a, b, r)
-                changed = True
-        # contract series vertices
-        for v in list(incident):
-            if v in (s, t) or len(incident[v]) != 2:
-                continue
-            e1, e2 = sorted(incident[v])
-            a, b = other(e1, v), other(e2, v)
-            if a == b:
-                continue  # parallel pair through v; next sweep merges it
-            r = resistance[e1] + resistance[e2]
-            remove_edge(e1)
-            remove_edge(e2)
-            incident.pop(v, None)
-            add_edge(a, b, r)
-            changed = True
-
-    live = [eid for eid, (a, b) in ends.items()]
-    if len(live) == 1 and set(ends[live[0]]) == {s, t}:
-        return resistance[live[0]]
+    resistance = {}  # frozenset of the two ends -> resistance
+    nbrs = {v: set() for v in net.vertices}
+    for e in net.edges:
+        _insert(resistance, nbrs, e.u, e.v, 1 / e.weight)
+    work = list(net.vertices)
+    while work:
+        v = work.pop()
+        if v == s or v == t or v not in nbrs or len(nbrs[v]) > 2:
+            continue
+        ends = nbrs.pop(v)
+        rs = [resistance.pop(frozenset((v, w))) for w in ends]
+        for w in ends:
+            nbrs[w].discard(v)
+        if len(ends) == 2:
+            _insert(resistance, nbrs, *ends, rs[0] + rs[1])
+        work.extend(ends)
+    if resistance.keys() == {frozenset((s, t))}:
+        return resistance.popitem()[1]
     raise NotSeriesParallelError("reduction stalled; network is not series-parallel")
 
 
@@ -207,26 +166,12 @@ class GroundedLaplacian:
 def grounded_laplacian(vertices, edges, s, t) -> GroundedLaplacian:
     """The Laplacian of the component of ``s`` grounded at ``t``, over
     ``vertices`` and the ``edges`` among them."""
-    comp = _reach(edges, s)
+    comp = set(_label(edges, (s,)))
     order = [v for v in vertices if v in comp and v != t]
     index = {v: i for i, v in enumerate(order)}
     index[t] = len(order)
     triplets = [(index[e.u], index[e.v], e.weight) for e in edges if e.u in comp]
     return GroundedLaplacian(comp, order, triplets, index[s], t in comp)
-
-
-def solve_potentials_exact(net: Network):
-    """Exact vertex potentials for a unit current from s to t.
-
-    Returns (potentials dict with p[t] = 0, resistance) or None when the
-    terminals are disconnected.  Solved on the component of ``s`` only.
-    """
-    lap = grounded_laplacian(net.vertices, net.edges, net.s, net.t)
-    if not lap.connected:
-        return None
-    potentials = lap.potentials_exact()
-    potentials[net.t] = Fraction(0)
-    return potentials, potentials[net.s]
 
 
 def effective_resistance(net: Network, backend: str = EXACT_SP):
@@ -347,10 +292,11 @@ def optimal_flow(net: Network):
     equals the effective resistance.  Raises DisconnectedError when no unit
     flow exists.
     """
-    solved = solve_potentials_exact(net)
-    if solved is None:
+    lap = grounded_laplacian(net.vertices, net.edges, net.s, net.t)
+    if not lap.connected:
         raise DisconnectedError("terminals are not connected")
-    potentials, resistance = solved
+    potentials = lap.potentials_exact()
+    potentials[net.t] = Fraction(0)
     values = {}
     for e in net.edges:
         if e.u in potentials and e.v in potentials:

@@ -135,14 +135,10 @@ class Formula:
         return hash(tuple((g.kind, g.var, g.negated, len(g.children)) for g in self._order))
 
     def __repr__(self):
-        parts = []
-        for g in postorder(self):  # leaves no cached order behind
-            first = len(parts) - len(g.children)
-            children = ", ".join(parts[first:])
-            del parts[first:]
-            parts.append(f"Formula(kind={g.kind!r}, var={g.var!r}, negated={g.negated!r}, "
-                         f"children=({children}), n_vars={g.n_vars!r}, first_var={g.first_var!r})")
-        return parts[0]
+        return nested_text(  # leaves no cached order behind
+            self,
+            lambda g: f"Formula(kind={g.kind!r}, var={g.var!r}, negated={g.negated!r}, children=(",
+            lambda g: f"), n_vars={g.n_vars!r}, first_var={g.first_var!r})")
 
 
 def _deeper(values) -> int:
@@ -280,6 +276,24 @@ def postorder(f: Formula) -> list:
         stack.extend(g.children)
     order.reverse()
     return order
+
+
+def nested_text(f: Formula, opening, closing) -> str:
+    """Text of ``f`` from one preorder walk: each node's ``opening(g)``, its
+    children's texts separated by ``", "``, then ``closing(g)``.  The pieces
+    go into one list that is joined once, so the cost is linear in the text."""
+    pieces = []
+    stack = [f]  # nodes still to open, and texts still to emit
+    while stack:
+        g = stack.pop()
+        if isinstance(g, str):
+            pieces.append(g)
+            continue
+        pieces.append(opening(g))
+        stack.append(closing(g))
+        for i, child in enumerate(reversed(g.children)):
+            stack.extend((", ", child) if i else (child,))
+    return "".join(pieces)
 
 
 def fold(f: Formula, leaf, at_and, at_or):

@@ -24,13 +24,10 @@ import numpy as np
 
 from . import linalg
 from .electrical import (
-    LAPLACIAN,
     component_of,
     components,
-    effective_resistance,
     formula_resistance,
     grounded_laplacian,
-    solve_potentials_exact,
 )
 from .errors import DisconnectedError
 from .extended import INF, as_float
@@ -109,11 +106,12 @@ def positive_witness(program: SpanProgram, x) -> WitnessReport:
     the available edges; INF when the selected subgraph is disconnected."""
     net = program.network
     sub = subgraph(net, selector_from_assignment(net, x))
-    solved = solve_potentials_exact(sub)
-    if solved is None:
+    lap = grounded_laplacian(sub.vertices, sub.edges, sub.s, sub.t)
+    if not lap.connected:
         return WitnessReport(POSITIVE, INF, math.inf, Fraction(0), None, 0.0)
-    potentials, resistance = solved
-    size = resistance / 2
+    potentials = lap.potentials_exact()
+    size = potentials[sub.s] / 2
+    potentials[sub.t] = Fraction(0)
     weights = net.weight_map()
     present_labels = {e.label for e in sub.edges}
     vec = np.zeros(len(program.directed))
@@ -123,7 +121,7 @@ def positive_witness(program: SpanProgram, x) -> WitnessReport:
             vec[col] = float(theta) / (2.0 * math.sqrt(float(weights[label])))
     a = span_matrix(program)
     residual = float(np.linalg.norm(a @ vec - target_vector(program)))
-    size_float = effective_resistance(sub, LAPLACIAN) / 2.0  # independent float route
+    size_float = lap.resistance_float() / 2.0  # independent float route
     return WitnessReport(POSITIVE, size, size_float, Fraction(0), vec, residual)
 
 

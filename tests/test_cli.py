@@ -164,6 +164,22 @@ def test_game_deterministic_json(capsys):
     assert all(g["winner"] == "A" for g in doc["games"])
 
 
+def test_game_text_line_is_unchanged_for_positive_depth(capsys):
+    code, out, _ = run(capsys, "game", "-d", "2", "-x", "1100", "--seed", "9", "--reps", "4")
+    assert code == 0
+    assert out == "wins 4/4  mean cost 1.6818  bound 90.5097  naive 6.0000\n"
+
+
+def test_game_depth_zero_exits_zero_in_both_modes(capsys):
+    # the naive baseline needs d >= 1, so the text line shows the placeholder
+    code, out, err = run(capsys, "game", "-d", "0", "-x", "1", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert out == "wins 32/32  mean cost 0.0000  bound 45.2548  naive -\n"
+    code, out, err = run(capsys, "game", "-d", "0", "-x", "1", "--seed", "1", "--json")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["games"]) == 32
+
+
 def test_game_requires_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["game", "-d", "2", "-x", "1100"])

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from formulaflow import (
     LAPLACIAN,
     MAXFLOW,
     PARALLEL,
+    PRIMAL,
     SERIES,
     SP_RECURSION,
     build_nand_tree,
@@ -40,8 +42,9 @@ from formulaflow import (
     subgraph,
     witness_cut,
 )
-from formulaflow.electrical import flow_from_directed
+from formulaflow.electrical import flow_from_directed, terminals_connected
 from formulaflow.errors import DisconnectedError, NotSeriesParallelError, SearchBudgetError
+from formulaflow.formula import fold
 from formulaflow.graphs import Edge, Network
 
 
@@ -160,6 +163,104 @@ def test_weight_scaling_identity():
             assert formula_resistance(f, x, scaled) is INF
         else:
             assert formula_resistance(f, x, scaled) == w * base
+
+
+# ---------------------------------------------------------------------------
+# series-parallel reduction
+# ---------------------------------------------------------------------------
+
+def _relabelled(f, rng, shift=0):
+    """``f`` with its variables moved up by ``shift`` and about a third of its
+    leaves negated."""
+    return fold(f, lambda g: leaf(g.var + shift, negated=bool(rng.random() < 1 / 3)),
+                partial(gate, "and"), partial(gate, "or"))
+
+
+def _pq_weights(rng, first, n):
+    return {f"x{first + i}": Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 10)))
+            for i in range(n)}
+
+
+def test_reduction_matches_fold_on_random_negated_formulas():
+    rng = np.random.default_rng(81)
+    for _ in range(320):
+        n = int(rng.integers(1, 65))
+        f = _relabelled(random_formula(rng, n, max_fanin=4) if n > 1 else leaf(1), rng)
+        weights = _pq_weights(rng, 1, n)
+        hosts = {PRIMAL: formula_graph(f, weights), DUAL: dual_network(f, weights)}
+        for _ in range(3):
+            x = tuple(int(b) for b in rng.integers(0, 2, size=n))
+            for polarity, host in hosts.items():
+                sub = subgraph(host, selector_from_assignment(host, x, polarity))
+                r = effective_resistance(sub, EXACT_SP)
+                assert r == formula_resistance(f, x, weights, dual=polarity == DUAL)
+                assert (r is INF) == (not terminals_connected(sub))
+
+
+def test_reduction_matches_kernel_on_nested_compositions():
+    rng = np.random.default_rng(82)
+    for _ in range(60):
+        parts, first = [], 1
+        for _ in range(int(rng.integers(3, 6))):
+            n = int(rng.integers(1, 8))
+            f = _relabelled(random_formula(rng, n, max_fanin=4) if n > 1 else leaf(1),
+                            rng, first - 1)
+            host = formula_graph(f, _pq_weights(rng, first, n))
+            x = tuple(int(b) for b in rng.random(n) < 0.7)
+            parts.append(subgraph(host, selector_from_assignment(host, x)))
+            first += n
+        modes = [SERIES, PARALLEL] if rng.integers(2) else [PARALLEL, SERIES]
+        while len(parts) > 1:  # fold the last two or three parts into one, inside out
+            k = min(len(parts), int(rng.integers(2, 4)))
+            parts[-k:] = [compose_networks(modes[len(parts) % 2], parts[-k:])]
+        net = parts[0]
+        r = effective_resistance(net, EXACT_SP)
+        if r is INF:
+            with pytest.raises(DisconnectedError):
+                optimal_flow(net)
+        else:
+            assert optimal_flow(net)[1] == r
+
+
+def _network(vertices, pairs, resistances):
+    edges = tuple(Edge(u, v, f"e{i}", 1 / Fraction(r))
+                  for i, ((u, v), r) in enumerate(zip(pairs, resistances)))
+    return Network(tuple(vertices), "s", "t", edges)
+
+
+def test_reduction_merges_parallel_edges_and_skips_isolated_vertices():
+    # two parallel edges between a and t, in series with s-a
+    net = _network("sat", [("s", "a"), ("a", "t"), ("t", "a")], [2, 3, 6])
+    assert effective_resistance(net, EXACT_SP) == 2 + Fraction(3 * 6, 3 + 6)
+    # parallel s-t edges, one of them written t-s
+    net = _network("st", [("s", "t"), ("t", "s"), ("s", "t")], [1, 2, 3])
+    assert effective_resistance(net, EXACT_SP) == 1 / (1 + Fraction(1, 2) + Fraction(1, 3))
+    # an isolated vertex, first and in the middle of the vertex order
+    net = _network("zsyat", [("s", "a"), ("a", "t")], [Fraction(1, 2), Fraction(5, 3)])
+    assert effective_resistance(net, EXACT_SP) == Fraction(13, 6)
+    # a dead end off s and a loop of two parallel edges hung off t
+    net = _network("sbatc", [("s", "b"), ("s", "a"), ("a", "t"), ("t", "c"), ("c", "t")],
+                   [7, 1, 1, 5, 5])
+    assert effective_resistance(net, EXACT_SP) == 2
+
+
+K4_EDGES = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
+
+
+@pytest.mark.parametrize("vertices, pairs", [
+    ("sabt", [("s", "a"), ("s", "b"), ("a", "b"), ("a", "t"), ("b", "t")]),  # Wheatstone
+    ("stabcd", [("s", "t"), ("t", "a"), *K4_EDGES]),  # K4 hung off t
+    ("stabcd", [("s", "t"), *K4_EDGES]),  # K4 in a separate component
+], ids=["wheatstone", "k4-off-t", "k4-apart"])
+def test_reduction_rejects_non_series_parallel(vertices, pairs):
+    with pytest.raises(NotSeriesParallelError):
+        effective_resistance(_network(vertices, pairs, [1] * len(pairs)), EXACT_SP)
+
+
+def test_reduction_is_infinite_before_it_rejects():
+    # the K4 apart from s and t: disconnected terminals win over the stalled reduction
+    net = _network("stabcd", K4_EDGES, [1] * len(K4_EDGES))
+    assert effective_resistance(net, EXACT_SP) is INF
 
 
 # ---------------------------------------------------------------------------
