@@ -8,7 +8,7 @@ certified recursive edge weighting, fault complexities of alternating-tree
 games, and the cost of the resistance-guided playing strategy.
 """
 
-from .extended import INF, Infinity, as_float, is_inf, parallel_sum, recip
+from .extended import INF, Infinity, as_float, is_inf
 from .formula import (
     Formula,
     PromiseDomain,

@@ -20,7 +20,7 @@ sizes come from a fold over (min, +) and from one max-flow routine that
 :func:`cut_size` and :func:`witness_cut` share.  Edges are selected by
 :func:`.graphs.selector_from_assignment` and :func:`.graphs.subgraph` only.
 
-Disconnection is the first-class value ``INF`` from :mod:`.extended`.
+Disconnection is reported as the value ``INF`` from :mod:`.extended`.
 """
 
 from __future__ import annotations
@@ -483,7 +483,8 @@ def cut_size(host: Network, x, backend: str = MAXFLOW):
     subgraph; INF when the terminals are connected.
 
     ``sp-recursion`` folds the formula over (min, +): series takes the min,
-    parallel adds, and a present edge counts as infinity.
+    parallel adds, and a present edge counts as ``math.inf``, which the root
+    maps back to ``INF``; a finite cut stays an ``int``.
     """
     if backend == MAXFLOW:
         cut = _min_cut(host, x)
@@ -494,7 +495,8 @@ def cut_size(host: Network, x, backend: str = MAXFLOW):
         f = host.formula
         bits = as_bits(x, f.n_vars)
         first = f.first_var
-        return fold(f, lambda g: INF if bits[g.var - first] ^ g.negated else 1, min, sum)
+        cut = fold(f, lambda g: math.inf if bits[g.var - first] ^ g.negated else 1, min, sum)
+        return INF if cut == math.inf else cut
     raise ValueError(f"unknown backend {backend!r}")
 
 

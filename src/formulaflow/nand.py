@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AssignmentLengthError, DisconnectedError
-from .extended import INF, as_float, parallel_sum
+from .extended import INF, as_float
 from .formula import as_bits
 
 
@@ -31,6 +31,13 @@ def _depth_of(x_len: int) -> int:
     return d
 
 
+def _leaf_count(d: int) -> int:
+    """Leaves of the depth-d alternating tree, after checking ``d``."""
+    if d < 0:
+        raise ValueError(f"depth d={d} must be nonnegative")
+    return 1 << d
+
+
 def _level_table(leaves, d: int, combine) -> list:
     """Bottom-up table over the depth-d alternating tree.
 
@@ -38,7 +45,7 @@ def _level_table(leaves, d: int, combine) -> list:
     ``combine(r, left, right)`` for the node at distance ``r = d - level``
     from the leaves, whose children sit at ``2 * pos`` and ``2 * pos + 1``.
     """
-    if len(leaves) != 1 << d:
+    if len(leaves) != _leaf_count(d):
         raise AssignmentLengthError("bit count must be 2^r")
     table = [None] * d + [list(leaves)]
     for level in range(d - 1, -1, -1):
@@ -52,11 +59,17 @@ def _resistance_table(bits, d: int) -> list:
     """Exact resistances of every subtree on ``bits``.
 
     A node at odd distance from the leaves composes in series, at even
-    distance (> 0) in parallel; a present leaf is a unit edge.
+    distance (> 0) in parallel; a present leaf is a unit edge and an absent
+    one ``INF``, which opens a series pair and drops out of a parallel one.
     """
-    return _level_table([Fraction(1) if b else INF for b in bits], d,
-                        lambda r, left, right: left + right if r % 2 == 1
-                        else parallel_sum((left, right)))
+    def combine(r: int, a, b):
+        if r % 2 == 1:
+            return INF if a is INF or b is INF else a + b
+        if a is INF or b is INF:
+            return b if a is INF else a
+        return a * b / (a + b)
+
+    return _level_table([Fraction(1) if b else INF for b in bits], d, combine)
 
 
 def subtree_resistance(bits, r: int):
@@ -98,7 +111,7 @@ def fault_complexity(d: int, x) -> FaultReport:
     when the node is a fault (add one there); otherwise both children
     continue and the worst branch counts.
     """
-    bits = as_bits(x, 1 << d)
+    bits = as_bits(x, _leaf_count(d))
 
     def step(r: int, left, right):
         (v0, a0, b0), (v1, a1, b1) = left, right
@@ -135,7 +148,7 @@ def fault_complexity_bruteforce(d: int, x) -> FaultReport:
     equals that player's target; the fault count of a path counts fault
     nodes at the player's decision levels.  Exponential; for validation.
     """
-    bits = as_bits(x, 1 << d)
+    bits = as_bits(x, _leaf_count(d))
 
     def value(lo, hi, r):
         if r == 0:
@@ -275,7 +288,7 @@ def simulate_game(d: int, x, seed: int, reps: int,
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
-    bits = as_bits(x, 1 << d)
+    bits = as_bits(x, _leaf_count(d))
     table = _resistance_table(bits, d)
     root_r = table[0][0]
     if root_r is INF:
@@ -311,7 +324,7 @@ def simulate_game(d: int, x, seed: int, reps: int,
                 cost += step
                 select_calls += 1
                 chosen, other = (left, right) if child == 0 else (right, left)
-                if chosen > 2 * other:
+                if other is not INF and chosen > 2 * other:
                     violations += 1
             else:
                 child = int(b_draws[rep][b_idx])

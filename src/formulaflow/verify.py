@@ -354,7 +354,8 @@ def check_fault_bound() -> str:
             r = subtree_resistance(bits, d)
             rd = formula_resistance(tree, bits, dual=True)
             rep = fault_complexity(d, bits)
-            if not (r <= factor * rep.f_a and rd <= factor * rep.f_b):
+            if not ((rep.f_a is INF or r <= factor * rep.f_a)
+                    and (rep.f_b is INF or rd <= factor * rep.f_b)):
                 raise SuiteFailure(f"violated at d={d} x={bits}")
     return "R <= (2)F_A and R' <= (2)F_B exhaustively for depths 0-4"
 

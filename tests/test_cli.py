@@ -193,6 +193,18 @@ def test_game_zero_reps_exits_one(capsys):
     assert err.startswith("error: reps")
 
 
+@pytest.mark.parametrize("argv", [
+    ("fault", "-d", "-1", "-x", "1"),
+    ("fault", "-d", "-3", "-x", "1", "--json"),
+    ("game", "-d", "-1", "-x", "1", "--seed", "1"),
+    ("game", "-d", "-2", "-x", "1", "--seed", "1", "--json"),
+])
+def test_negative_depth_exits_one_naming_d(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: depth d={argv[2]} must be nonnegative\n"
+
+
 def test_partial_weights_exit_one(capsys, tmp_path):
     path = tmp_path / "w.json"
     path.write_text('{"x1": "2"}')

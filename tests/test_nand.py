@@ -62,6 +62,17 @@ def test_fault_length_mismatch():
         fault_complexity(3, "1111")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: fault_complexity(-1, "1"),
+    lambda: fault_complexity_bruteforce(-1, "1"),
+    lambda: subtree_resistance((1,), -1),
+    lambda: simulate_game(-1, "1", seed=1, reps=1),
+])
+def test_negative_depth_is_named(call):
+    with pytest.raises(ValueError, match=r"depth d=-1 must be nonnegative"):
+        call()
+
+
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_recursion_matches_bruteforce_exhaustive(d):
     for x in all_inputs(1 << d):

@@ -8,6 +8,8 @@ import pytest
 from formulaflow import (
     DUAL,
     INF,
+    Edge,
+    Network,
     approx_negative_witness,
     approx_negative_witness_reference,
     approx_positive_witness,
@@ -17,8 +19,10 @@ from formulaflow import (
     dual_network,
     effective_resistance,
     eval_formula,
+    export,
     formula_graph,
     formula_resistance,
+    from_json,
     gate,
     leaf,
     negative_witness,
@@ -223,6 +227,17 @@ def test_negative_witness_annihilates_present_columns():
                 assert omega[e.u] == omega[e.v]
 
 
+@pytest.mark.parametrize("x", ["0", "1"])
+def test_negative_witness_with_isolated_t_is_an_indicator(x):
+    # no host edge reaches t, so the quotient never links the groups of s and t
+    net = Network(("s", "a", "t"), "s", "t", (Edge("s", "a", "e1", Fraction(1)),))
+    report = negative_witness(build_span_program(net), x)
+    assert report.size == 0 and report.size_float == 0.0
+    assert report.witness == {"s": 1, "a": 1, "t": 0}
+    assert all(type(value) is Fraction for value in report.witness.values())
+    assert report.residual == 0.0
+
+
 # ---------------------------------------------------------------------------
 # approximate witnesses
 # ---------------------------------------------------------------------------
@@ -342,6 +357,19 @@ def test_nand2_extrema_cross_checked_against_resistance():
     assert ext.w_plus == best_r / 2
     assert ext.w_minus == 2 * best_rd
     assert ext.bound == math.sqrt(float(ext.w_plus * ext.w_minus))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_definitional_extrema_match_formula_fold(seed):
+    # the exported host has no formula, so witness_extrema solves every input
+    rng = np.random.default_rng(seed)
+    f = random_formula(rng, 5) if seed else build_nand_tree(2)
+    host = formula_graph(f, random_weights(rng, f.n_vars))
+    plain = from_json(export(host))
+    assert plain.formula is None
+    domain = list(all_inputs(f.n_vars))
+    assert witness_extrema(build_span_program(plain), domain, f) == \
+        witness_extrema(build_span_program(host), domain, f)
 
 
 def test_leaf_certificate():
