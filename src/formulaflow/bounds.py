@@ -29,6 +29,7 @@ from .formula import (
     as_bits,
     and_promise,
     build_nand_tree,
+    composed_domain,
     composed_formula,
     count_composed_domain,
     enumerate_composed_domain,
@@ -37,7 +38,7 @@ from .formula import (
     leaf,
 )
 from .graphs import Network, formula_graph
-from .nand import is_k_fault
+from .nand import _leaf_count, is_k_fault
 
 ENUM_CAP = 1 << 20
 
@@ -225,13 +226,14 @@ def _balloon_family(n: int) -> ExampleFamily:
 
 def _nand_kfault_family(d: int, k: int) -> ExampleFamily:
     """Alternating tree restricted to the inputs of fault level at most k."""
+    n = _leaf_count(d)
     if not 0 <= 2 * k <= d:
         raise ValueError("need 0 <= k <= d/2")
     if d > 4:
         raise DomainTooLargeError("k-fault enumeration supported for depth <= 4")
     f = build_nand_tree(d)
     members = []
-    for bits in all_inputs(1 << d):
+    for bits in all_inputs(n):
         if is_k_fault(d, k, bits):
             members.append((bits, 1))
     domain = DomainSpec("explicit", tuple(members), len(members))
@@ -296,7 +298,7 @@ def verify_resistance_product(levels, cap: int = ENUM_CAP) -> ProductReport:
     0-inputs) equals prod(N_i) / prod(h_i).  Also reports the accompanying
     estimate prod(sqrt(N_i / h_i)).
     """
-    levels = tuple(tuple(level) for level in levels)
+    levels = composed_domain(levels).levels
     f = composed_formula(levels)
     size = count_composed_domain(levels)
     if size > cap:

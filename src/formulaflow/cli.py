@@ -307,10 +307,14 @@ def _cmd_bounds(args) -> int:
 def _cmd_product(args) -> int:
     levels = []
     for chunk in args.levels.split(","):
-        kind, n, h = chunk.strip().split(":")
+        try:
+            kind, n, h = chunk.strip().split(":")
+            n, h = int(n), int(h)
+        except ValueError:
+            raise ValueError(f"level {chunk.strip()!r} is not kind:N:h with integers N, h") from None
         if kind not in ("and", "or"):
             raise ValueError(f"level kind must be and/or, got {kind!r}")
-        levels.append((kind, int(n), int(h)))
+        levels.append((kind, n, h))
     report = bounds_mod.verify_resistance_product(levels)
     if args.json:
         sys.stdout.write(report.to_json().decode() + "\n")

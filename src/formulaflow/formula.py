@@ -1,8 +1,10 @@
 """Read-once AND-OR formulas: parsing, evaluation, and structural transforms.
 
 A formula is a rooted tree whose internal nodes are AND/OR gates with fan-in
-at least two and whose leaves are (possibly negated) variables.  All public
-constructors produce the canonical normal form:
+at least two and whose leaves are (possibly negated) variables.  The parser,
+the generators and :func:`compose` describe their formula as a *shape* (a
+leaf's negation flag, or a ``(kind, children)`` pair) and end in one builder,
+which produces the canonical normal form in a single pass:
 
 * negations appear only on leaves,
 * adjacent gates of the same kind are flattened (gate kinds alternate),
@@ -181,11 +183,11 @@ def parse_formula(text: str) -> Formula:
     """
     # One pass over the tokens with a stack of open groups.  A group is
     # [parity, closed terms, factors of the open term]; its parity carries the
-    # negations over it, under which '&' builds an OR and '|' an AND.  A value
-    # is a leaf or a gate still open to flattening, (kind, children).
+    # negations over it, under which '&' builds an OR and '|' an AND.  Terms
+    # and factors are shapes; the builder numbers and flattens them at the end.
     groups = [[False, [], []]]
     neg, operand = False, True  # parity of the '~'s since the last operand; one is due
-    seen, number = Counter(), itertools.count(1)
+    seen = Counter()
     for tok, pos in _tokenize(text):
         parity, terms, factors = groups[-1]
         if operand:
@@ -196,7 +198,7 @@ def parse_formula(text: str) -> Formula:
                 neg = False
             elif tok is not None and tok.startswith("x"):
                 seen[tok] += 1
-                factors.append(leaf(next(number), negated=parity ^ neg))
+                factors.append(parity ^ neg)
                 neg, operand = False, False
             else:
                 raise FormulaSyntaxError(f"expected '~', '(' or variable, found {tok!r}", pos)
@@ -217,21 +219,39 @@ def parse_formula(text: str) -> Formula:
     if duplicates:
         raise ReadOnceError(f"variables repeated: {sorted(duplicates)}")
     terms.append(_join(AND, factors))
-    root = _join(OR, terms)
-    return gate(*root) if isinstance(root, tuple) else root
+    return _from_shape(_join(OR, terms))
 
 
-def _join(kind, values):
-    """One value, or a ``kind`` gate over several with same-kind gates merged."""
-    if len(values) == 1:
-        return values[0]
-    children = []
-    for v in values:
-        if isinstance(v, tuple) and v[0] == kind:
-            children.extend(v[1])
+def _join(kind, shapes):
+    """The one shape, or a ``kind`` gate over several."""
+    return shapes[0] if len(shapes) == 1 else (kind, shapes)
+
+
+def _from_shape(shape) -> Formula:
+    """The normal form of ``shape``, built in one post-order pass: leaves are
+    numbered 1..N left to right, and a gate of its parent's kind hands its
+    children to the parent instead of becoming a node."""
+    frames = [(None, iter((shape,)), [])]  # (kind, shapes to read, children built)
+    number = 0
+    while True:
+        kind, todo, built = frames[-1]
+        s = next(todo, None)
+        if s is None:
+            frames.pop()
+            if not frames:
+                return built[0]
+            parent_kind, _, siblings = frames[-1]
+            siblings.extend(built if parent_kind == kind else (gate(kind, built),))
+        elif isinstance(s, bool):
+            number += 1
+            built.append(leaf(number, negated=s))
         else:
-            children.append(gate(*v) if isinstance(v, tuple) else v)
-    return kind, children
+            frames.append((s[0], iter(s[1]), []))
+
+
+def _shape(f: Formula, at_leaf=lambda g: g.negated):
+    """The shape of ``f``, with ``at_leaf(g)`` standing for each leaf ``g``."""
+    return fold(f, at_leaf, lambda shapes: (AND, shapes), lambda shapes: (OR, shapes))
 
 
 def render(f: Formula) -> str:
@@ -351,37 +371,12 @@ def negate_formula(f: Formula) -> Formula:
                 partial(gate, OR), partial(gate, AND))
 
 
-def _shift(f: Formula, offset: int) -> Formula:
-    return fold(f, lambda g: leaf(g.var + offset, negated=g.negated),
-                partial(gate, AND), partial(gate, OR))
-
-
-def _flatten(f: Formula) -> Formula:
-    def flat(kind):
-        def combine(children):
-            merged = []
-            for child in children:
-                merged.extend(child.children if child.kind == kind else (child,))
-            return gate(kind, merged)
-        return combine
-
-    return fold(f, lambda g: g, flat(AND), flat(OR))
-
-
 def compose(outer: Formula, inner: Formula) -> Formula:
-    """Substitute a fresh copy of ``inner`` for every leaf of ``outer``.
-
-    A negated outer leaf receives the negated copy.  The result has
-    N_outer * N_inner variables, numbered left to right, with same-kind
-    adjacency flattened.
-    """
-    n_inner = inner.n_vars
-
-    def sub(g: Formula) -> Formula:
-        block = negate_formula(inner) if g.negated else inner
-        return _shift(block, (g.var - 1) * n_inner) if g.var > 1 else block
-
-    return _flatten(fold(outer, sub, partial(gate, AND), partial(gate, OR)))
+    """Substitute a fresh copy of ``inner`` for every leaf of ``outer``, the
+    negated copy for a negated leaf.  The result has N_outer * N_inner variables,
+    numbered 1..N left to right, with same-kind adjacency flattened."""
+    blocks = (_shape(inner), _shape(negate_formula(inner)))
+    return _from_shape(_shape(outer, lambda g: blocks[g.negated]))
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +408,7 @@ class PromiseDomain:
             if not 1 <= self.h <= self.n:
                 raise PromiseMismatchError("promise requires 1 <= h <= N")
         elif self.kind == COMPOSED:
-            for lk, n, h in self.levels:
-                if lk not in (AND_PROMISE, OR_PROMISE) or not 1 <= h <= n or n < 2:
-                    raise PromiseMismatchError(f"bad level ({lk}, {n}, {h})")
+            object.__setattr__(self, "levels", _checked_levels(self.levels))
         elif self.kind != FULL:
             raise PromiseMismatchError(f"unknown domain kind {self.kind!r}")
 
@@ -433,7 +426,17 @@ def or_promise(n: int, h: int) -> PromiseDomain:
 
 
 def composed_domain(levels) -> PromiseDomain:
-    return PromiseDomain(COMPOSED, levels=tuple(tuple(level) for level in levels))
+    return PromiseDomain(COMPOSED, levels=levels)
+
+
+def _checked_levels(levels) -> tuple:
+    """``levels`` as ``(kind, N, h)`` tuples, each and/or with N >= 2, 1 <= h <= N."""
+    levels = tuple(tuple(level) for level in levels)
+    for level in levels:
+        kind, n, h = level if len(level) == 3 else (None, 0, 0)
+        if kind not in (AND_PROMISE, OR_PROMISE) or not 1 <= h <= n or n < 2:
+            raise PromiseMismatchError(f"bad level ({', '.join(map(str, level))})")
+    return levels
 
 
 def _weight_ok(kind: str, n: int, h: int, weight: int) -> bool:
@@ -450,13 +453,13 @@ def _gate_value(kind: str, weight: int, n: int) -> int:
 
 def composed_formula(levels) -> Formula:
     """The uniform composition chain AND_N/OR_N|level1 o ... o |level_l."""
-    result = None
-    for kind, n, _h in reversed([tuple(level) for level in levels]):
-        block = gate(AND if kind == AND_PROMISE else OR, [leaf(i + 1) for i in range(n)])
-        result = block if result is None else compose(block, result)
-    if result is None:
+    levels = _checked_levels(levels)
+    if not levels:
         raise PromiseMismatchError("composed domain needs at least one level")
-    return result
+    shape = False
+    for kind, n, _h in reversed(levels):
+        shape = (AND if kind == AND_PROMISE else OR, [shape] * n)
+    return _from_shape(shape)
 
 
 def promise_membership(dom: PromiseDomain, f: Formula, x) -> bool:
@@ -500,7 +503,7 @@ def promise_membership(dom: PromiseDomain, f: Formula, x) -> bool:
 def count_composed_domain(levels) -> int:
     """Size of the composed promise domain, computed without enumeration."""
     ones, zeros = 1, 1  # counts for a single raw bit
-    for kind, n, h in reversed([tuple(level) for level in levels]):
+    for kind, n, h in reversed(_checked_levels(levels)):
         n1 = n0 = 0
         for w in range(n + 1):
             if not _weight_ok(kind, n, h, w):
@@ -519,7 +522,7 @@ def enumerate_composed_domain(levels, cap: int = 1 << 20):
 
     Raises :class:`DomainTooLargeError` when the domain exceeds ``cap``.
     """
-    levels = [tuple(level) for level in levels]
+    levels = _checked_levels(levels)
     if count_composed_domain(levels) > cap:
         raise DomainTooLargeError("composed domain exceeds the exhaustive budget")
     strings = [((1,), 1), ((0,), 0)]  # (bits, value) for a raw bit
@@ -541,35 +544,19 @@ def enumerate_composed_domain(levels, cap: int = 1 << 20):
 
 def uniform_formula(root_kind: str, fanins: Sequence[int]) -> Formula:
     """Alternating tree with the given per-level fan-ins, root kind first."""
-    def build(kind, level, offset):
-        if level == len(fanins):
-            return leaf(offset + 1), 1
-        width = fanins[level]
-        children = []
-        used = 0
-        other = AND if kind == OR else OR
-        for _ in range(width):
-            child, n = build(other, level + 1, offset + used)
-            children.append(child)
-            used += n
-        return gate(kind, children), used
-
-    if not fanins:
-        return leaf(1)
-    tree, _ = build(root_kind, 0, 0)
-    return tree
+    other = AND if root_kind == OR else OR
+    shape = False
+    for level in reversed(range(len(fanins))):
+        shape = (other if level % 2 else root_kind, [shape] * fanins[level])
+    return _from_shape(shape)
 
 
 def enumerate_formulas(max_depth: int, fanins=(2, 3), max_vars: int | None = None):
-    """All canonical (alternating-gate) formula shapes up to the given depth.
+    """All canonical (alternating-gate) formulas up to the given depth, less
+    those over ``max_vars`` variables when a cap is given."""
 
-    Shapes with more than ``max_vars`` variables are pruned when a cap is
-    given.  Yields formulas with canonical variable numbering.
-    """
-
-    def shapes(kind, depth_left):
-        # yields (size, builder) where builder(offset) -> Formula
-        yield 1, lambda off: leaf(off + 1)
+    def shapes(kind, depth_left):  # (size, shape) pairs
+        yield 1, False
         if depth_left == 0:
             return
         other = AND if kind == OR else OR
@@ -579,22 +566,15 @@ def enumerate_formulas(max_depth: int, fanins=(2, 3), max_vars: int | None = Non
                 size = sum(n for n, _ in combo)
                 if max_vars is not None and size > max_vars:
                     continue
-                def builder(off, combo=combo, kind=kind):
-                    children = []
-                    used = 0
-                    for n, make in combo:
-                        children.append(make(off + used))
-                        used += n
-                    return gate(kind, children)
-                yield size, builder
+                yield size, (kind, [shape for _, shape in combo])
 
     seen = set()
-    yield leaf(1)
+    yield _from_shape(False)
     for root_kind in (AND, OR):
-        for size, builder in shapes(root_kind, max_depth):
+        for size, shape in shapes(root_kind, max_depth):
             if size == 1:
                 continue
-            f = builder(0)
+            f = _from_shape(shape)
             key = render(f)
             if key not in seen:
                 seen.add(key)
@@ -606,16 +586,13 @@ def random_formula(rng, n_vars: int, max_fanin: int = 3) -> Formula:
     if n_vars < 1:
         raise FormulaError("need at least one variable")
 
-    def build(kind, n, offset):
+    def build(kind, n):
         if n == 1:
-            return leaf(offset + 1)
+            return False
         fanin = int(rng.integers(2, min(max_fanin, n) + 1))
         cuts = sorted(int(c) + 1 for c in rng.choice(n - 1, size=fanin - 1, replace=False))
-        bounds = [0, *cuts, n]
         other = AND if kind == OR else OR
-        children = [build(other, bounds[i + 1] - bounds[i], offset + bounds[i])
-                    for i in range(fanin)]
-        return gate(kind, children)
+        return kind, [build(other, b - a) for a, b in zip([0, *cuts], [*cuts, n])]
 
     root_kind = AND if rng.integers(2) == 0 else OR
-    return build(root_kind, n_vars, 0)
+    return _from_shape(build(root_kind, n_vars))

@@ -189,6 +189,7 @@ def fault_complexity_bruteforce(d: int, x) -> FaultReport:
 
 def is_k_fault(d: int, k: int, x) -> bool:
     """Whether the instance's fault complexity is at most 2^k."""
+    _leaf_count(d)
     if not 0 <= 2 * k <= d:
         raise ValueError(f"level k={k} must satisfy 0 <= k <= d/2")
     report = fault_complexity(d, x)

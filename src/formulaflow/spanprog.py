@@ -219,7 +219,7 @@ def approx_positive_witness(program: SpanProgram, x) -> WitnessReport:
     for row, col in enumerate(absent):
         mask[row, col] = 1.0
     vec = _nested_lstsq_float([mask, np.eye(len(program.directed))], w0, basis)
-    err = float(vec[absent] @ vec[absent]) if absent else 0.0
+    err = float(vec[absent] @ vec[absent])
     size = float(vec @ vec)
     residual = float(np.linalg.norm(a @ vec - tau))
     return WitnessReport(APPROX_POSITIVE, size, size, err, vec, residual)
@@ -246,11 +246,11 @@ def approx_negative_witness(program: SpanProgram, x) -> WitnessReport:
     both[program.vertex_index[net.s]] = 1.0 / math.sqrt(2.0)
     both[program.vertex_index[net.t]] = 1.0 / math.sqrt(2.0)
     cols.append(both)
-    basis = np.stack(cols, axis=1) if cols else np.zeros((n, 0))
-    m1 = a[:, present_cols].T if present_cols else np.zeros((0, n))
+    basis = np.stack(cols, axis=1)
+    m1 = a[:, present_cols].T
     m2 = a.T
     vec = _nested_lstsq_float([m1, m2], v0, basis)
-    err = float(np.linalg.norm(m1 @ vec) ** 2) if present_cols else 0.0
+    err = float(np.linalg.norm(m1 @ vec) ** 2)
     size = float(np.linalg.norm(m2 @ vec) ** 2)
     omega = {v: float(vec[program.vertex_index[v]]) for v in net.vertices}
     return WitnessReport(APPROX_NEGATIVE, size, size, err, omega, 0.0)

@@ -75,6 +75,8 @@ def test_family_rejects_bad_parameters():
         example_family("line", n=4, h=9)
     with pytest.raises(ValueError):
         example_family("nand-kfault", d=2, k=3)
+    with pytest.raises(ValueError, match=r"^depth d=-1 must be nonnegative$"):
+        example_family("nand-kfault", d=-1, k=0)
     with pytest.raises(ValueError):
         example_family("mystery")
 

@@ -198,11 +198,18 @@ def test_game_zero_reps_exits_one(capsys):
     ("fault", "-d", "-3", "-x", "1", "--json"),
     ("game", "-d", "-1", "-x", "1", "--seed", "1"),
     ("game", "-d", "-2", "-x", "1", "--seed", "1", "--json"),
+    ("kfault", "-d", "-1", "-k", "0", "-x", "1"),
 ])
 def test_negative_depth_exits_one_naming_d(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: depth d={argv[2]} must be nonnegative\n"
+
+
+def test_bounds_nand_negative_depth_names_d(capsys):
+    code, out, err = run(capsys, "bounds", "--family", "nand", "--d", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: depth d=-1 must be nonnegative\n"
 
 
 def test_partial_weights_exit_one(capsys, tmp_path):
@@ -313,6 +320,22 @@ def test_product_command(capsys):
 def test_product_rejects_bad_levels(capsys):
     code, _out, err = run(capsys, "product", "--levels", "nand:2:1")
     assert code == 1
+
+
+@pytest.mark.parametrize("levels, message", [
+    ("and:2:3", "bad level (and, 2, 3)"),
+    ("or:3:0", "bad level (or, 3, 0)"),
+    ("and:1:1", "bad level (and, 1, 1)"),
+    ("or:2:1,and:4:5", "bad level (and, 4, 5)"),
+    ("and:4", "level 'and:4' is not kind:N:h with integers N, h"),
+    ("and:a:1", "level 'and:a:1' is not kind:N:h with integers N, h"),
+    ("and:2:1:1", "level 'and:2:1:1' is not kind:N:h with integers N, h"),
+])
+def test_product_names_each_bad_level(capsys, levels, message):
+    code, out, err = run(capsys, "product", "--levels", levels)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
 
 
 def test_verify_single_suite(capsys):

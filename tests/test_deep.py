@@ -191,7 +191,6 @@ def test_deep_token_strings_never_raise_through_the_cli(text):
 # every function of the package that can reach itself, and what bounds its depth
 RECURSIVE = {
     "electrical.simple_st_paths.dfs": "the path length, at most the edge budget",
-    "formula.uniform_formula.build": "the fan-in count, at most log2 N since fan-ins are >= 2",
     "formula.random_formula.build": "the split depth, O(log N) expected for random cut points",
     "formula.enumerate_formulas.shapes": "max_depth; the enumeration is exponential in it",
     "formula.promise_membership.check": "the composed levels, at most log2 N",

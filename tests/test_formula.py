@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from formulaflow import (
     promise_membership,
     random_formula,
     render,
+    verify_resistance_product,
 )
 from formulaflow.errors import (
     AssignmentLengthError,
@@ -29,6 +31,7 @@ from formulaflow.errors import (
     PromiseMismatchError,
     ReadOnceError,
 )
+from formulaflow.formula import count_composed_domain
 
 
 def all_inputs(n):
@@ -337,3 +340,26 @@ def test_enumerate_composed_domain_matches_membership():
     by_membership = {x for x in all_inputs(4) if promise_membership(dom, f, x)}
     assert enumerated == by_membership
     assert len(enumerated) == 16  # h=1 promises are vacuous here
+
+
+@pytest.mark.parametrize("level, shown", [
+    (("and", 2, 3), "(and, 2, 3)"),
+    (("or", 3, 0), "(or, 3, 0)"),
+    (("and", 1, 1), "(and, 1, 1)"),
+    (("xor", 2, 1), "(xor, 2, 1)"),
+    (("and", 4), "(and, 4)"),
+])
+@pytest.mark.parametrize("call", [
+    composed_domain,
+    composed_formula,
+    count_composed_domain,
+    lambda levels: list(enumerate_composed_domain(levels)),
+    verify_resistance_product,
+])
+def test_every_composed_route_rejects_a_bad_level(call, level, shown):
+    with pytest.raises(PromiseMismatchError, match=rf"^bad level {re.escape(shown)}$"):
+        call([("or", 2, 1), list(level)])
+
+
+def test_composed_domain_levels_are_tuples():
+    assert composed_domain([["and", 2, 1], ("or", 3, 2)]).levels == (("and", 2, 1), ("or", 3, 2))

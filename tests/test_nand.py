@@ -67,6 +67,7 @@ def test_fault_length_mismatch():
     lambda: fault_complexity_bruteforce(-1, "1"),
     lambda: subtree_resistance((1,), -1),
     lambda: simulate_game(-1, "1", seed=1, reps=1),
+    lambda: is_k_fault(-1, 0, "1"),
 ])
 def test_negative_depth_is_named(call):
     with pytest.raises(ValueError, match=r"depth d=-1 must be nonnegative"):
