@@ -24,10 +24,10 @@ from .electrical import SP_RECURSION, cut_size, formula_resistance
 from .errors import DomainTooLargeError
 from .extended import as_float, is_inf
 from .formula import (
+    DOMAIN_CAP,
     Formula,
     all_inputs,
     as_bits,
-    and_promise,
     build_nand_tree,
     composed_domain,
     composed_formula,
@@ -36,24 +36,23 @@ from .formula import (
     eval_formula,
     gate,
     leaf,
+    side_maxima,
 )
 from .graphs import Network, formula_graph
 from .nand import _leaf_count, is_k_fault
-
-ENUM_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
 class DomainSpec:
     """Enumeration plan for a promise domain.
 
-    ``items`` are (assignment, multiplicity) pairs.  A ``classes`` domain
-    lists one representative per symmetry class, which is exact whenever the
-    tracked quantities are class-invariant; ``sampled`` marks maxima as lower
-    estimates.
+    ``items`` are (assignment, multiplicity) pairs.  An ``explicit`` domain
+    lists every assignment once; a ``classes`` domain lists one representative
+    per symmetry class, which is exact whenever the tracked quantities are
+    class-invariant.
     """
 
-    kind: str  # "explicit" | "classes" | "sampled"
+    kind: str  # "explicit" | "classes"
     items: tuple
     total: int
 
@@ -134,26 +133,17 @@ def compute_bounds(host, weights=None, domain: DomainSpec | None = None,
     else:
         f = host
     if domain is None:
-        if f.n_vars > 20:
+        if 1 << f.n_vars > DOMAIN_CAP:
             raise DomainTooLargeError("full domain too large; pass an explicit one")
         domain = explicit_domain(all_inputs(f.n_vars))
     use_weights = None if unit_weights else weights
-    r_max = r_dual_max = c_max = None
-    attain_r = attain_rd = attain_c = None
     net = formula_graph(f, use_weights)
-    for x, _count in domain.items:
-        bits = as_bits(x, f.n_vars)
-        if eval_formula(f, bits) == 1:
-            r = formula_resistance(f, bits, use_weights)
-            if r_max is None or r > r_max:
-                r_max, attain_r = r, bits
-        else:
-            rd = formula_resistance(f, bits, use_weights, dual=True)
-            if r_dual_max is None or rd > r_dual_max:
-                r_dual_max, attain_rd = rd, bits
-            c = cut_size(net, bits, backend=SP_RECURSION)
-            if c_max is None or c > c_max:
-                c_max, attain_c = c, bits
+    # perfbench/tracing.py patches eval_formula and the lambdas' callees here: keep them imported
+    (r_max, attain_r), (r_dual_max, attain_rd), (c_max, attain_c) = side_maxima(
+        f, (as_bits(x, f.n_vars) for x, _count in domain.items), eval_formula,
+        r=(1, lambda bits: formula_resistance(f, bits, use_weights)),
+        r_dual=(0, lambda bits: formula_resistance(f, bits, use_weights, dual=True)),
+        c=(0, lambda bits: cut_size(net, bits, backend=SP_RECURSION))).values()
     n_edges = f.n_vars
 
     def bound(a, b):
@@ -181,7 +171,6 @@ class ExampleFamily:
     weights: dict | None
     network: Network
     domain: DomainSpec
-    promise: object
 
 
 def _line_family(n: int, h: int) -> ExampleFamily:
@@ -198,7 +187,7 @@ def _line_family(n: int, h: int) -> ExampleFamily:
         total += count
     domain = DomainSpec("classes", tuple(items), total)
     return ExampleFamily("line", {"n": n, "h": h}, f, None,
-                         formula_graph(f), domain, and_promise(n, h))
+                         formula_graph(f), domain)
 
 
 def _balloon_family(n: int) -> ExampleFamily:
@@ -221,7 +210,7 @@ def _balloon_family(n: int) -> ExampleFamily:
             total += count
     domain = DomainSpec("classes", tuple(items), total)
     return ExampleFamily("balloon", {"n": n}, f, weights,
-                         formula_graph(f, weights), domain, None)
+                         formula_graph(f, weights), domain)
 
 
 def _nand_kfault_family(d: int, k: int) -> ExampleFamily:
@@ -238,7 +227,7 @@ def _nand_kfault_family(d: int, k: int) -> ExampleFamily:
             members.append((bits, 1))
     domain = DomainSpec("explicit", tuple(members), len(members))
     return ExampleFamily("nand-kfault", {"d": d, "k": k}, f, None,
-                         formula_graph(f), domain, None)
+                         formula_graph(f), domain)
 
 
 def example_family(name: str, **params) -> ExampleFamily:
@@ -289,31 +278,26 @@ class ProductReport:
         return json.dumps(doc, separators=(",", ":")).encode()
 
 
-def verify_resistance_product(levels, cap: int = ENUM_CAP) -> ProductReport:
+def verify_resistance_product(levels) -> ProductReport:
     """Exhaustively check the product identity for a promise composition.
 
-    Builds the uniform composition chain, enumerates its composed promise
-    domain, and verifies in exact arithmetic that the product of the worst
-    primal resistance (over 1-inputs) and the worst dual resistance (over
-    0-inputs) equals prod(N_i) / prod(h_i).  Also reports the accompanying
-    estimate prod(sqrt(N_i / h_i)).
+    Counts the composed promise domain first and raises
+    :class:`DomainTooLargeError` when it exceeds ``DOMAIN_CAP``, before
+    building anything.  Otherwise builds the uniform composition chain,
+    enumerates the domain, and verifies in exact arithmetic that the product
+    of the worst primal resistance (over 1-inputs) and the worst dual
+    resistance (over 0-inputs) equals prod(N_i) / prod(h_i).  Also reports
+    the accompanying estimate prod(sqrt(N_i / h_i)).
     """
     levels = composed_domain(levels).levels
-    f = composed_formula(levels)
     size = count_composed_domain(levels)
-    if size > cap:
-        raise DomainTooLargeError(f"domain has {size} points, over the cap {cap}")
-    r_max = None
-    rd_max = None
-    for bits in enumerate_composed_domain(levels, cap):
-        if eval_formula(f, bits) == 1:
-            r = formula_resistance(f, bits)
-            if r_max is None or r > r_max:
-                r_max = r
-        else:
-            rd = formula_resistance(f, bits, dual=True)
-            if rd_max is None or rd > rd_max:
-                rd_max = rd
+    if size > DOMAIN_CAP:
+        raise DomainTooLargeError(f"domain has more than {DOMAIN_CAP} points")
+    f = composed_formula(levels)
+    (r_max, _), (rd_max, _) = side_maxima(
+        f, enumerate_composed_domain(levels), eval_formula,
+        r=(1, lambda bits: formula_resistance(f, bits)),
+        r_dual=(0, lambda bits: formula_resistance(f, bits, dual=True))).values()
     expected = Fraction(1)
     quantum = 1.0
     for _kind, n, h in levels:

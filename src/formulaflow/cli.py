@@ -39,7 +39,7 @@ from .errors import (
     SearchBudgetError,
 )
 from .extended import is_inf
-from .formula import all_inputs, nested_text, parse_formula, render
+from .formula import DOMAIN_CAP, all_inputs, nested_text, parse_formula, render
 from .graphs import (
     DUAL,
     PRIMAL,
@@ -236,7 +236,7 @@ def _cmd_weights(args) -> int:
 def _cmd_extrema(args) -> int:
     f = parse_formula(args.formula)
     weights = _load_weights(args.weights)
-    if f.n_vars > 20:
+    if 1 << f.n_vars > DOMAIN_CAP:
         raise DomainTooLargeError("extrema sweep capped at 2^20 inputs")
     program = build_span_program(formula_graph(f, weights))
     ext = witness_extrema(program, all_inputs(f.n_vars), f,

@@ -21,6 +21,13 @@ It reads the tokens once, left to right, with an explicit stack of open
 groups, so nesting depth is not bounded by Python's recursion limit.
 
 Assignments are given most-significant-first: character 0 instantiates x1.
+
+Promise domains: an and/or promise is the one-level composed domain
+``((kind, n, h),)``, so membership walks the levels of any non-full domain
+bottom-up.  :func:`side_maxima` is the one sweep behind every domain maximum
+(``compute_bounds``, ``verify_resistance_product``, ``witness_extrema``), and
+``DOMAIN_CAP`` (2^20 inputs) is the one budget of the full and composed
+domains they enumerate.
 """
 
 from __future__ import annotations
@@ -388,6 +395,8 @@ OR_PROMISE = "or"
 FULL = "full"
 COMPOSED = "composed"
 
+DOMAIN_CAP = 1 << 20  # the most inputs a full or composed domain may hold to be enumerated
+
 
 @dataclass(frozen=True)
 class PromiseDomain:
@@ -464,40 +473,21 @@ def composed_formula(levels) -> Formula:
 
 def promise_membership(dom: PromiseDomain, f: Formula, x) -> bool:
     """Whether ``x`` (and, for composed domains, every intermediate gate
-    input vector) lies in the promised set."""
+    input vector) lies in the promised set.  An and/or promise is the
+    one-level composed domain ``((kind, n, h),)``."""
     if dom.kind == FULL:
         as_bits(x, f.n_vars)
         return True
-    if dom.kind in (AND_PROMISE, OR_PROMISE):
-        expected = gate(AND if dom.kind == AND_PROMISE else OR,
-                        [leaf(i + 1) for i in range(dom.n)])
-        if f != expected:
-            raise PromiseMismatchError("formula is not the promised single gate")
-        bits = as_bits(x, dom.n)
-        return _weight_ok(dom.kind, dom.n, dom.h, sum(bits))
-    if f != composed_formula(dom.levels):
+    levels = dom.levels or ((dom.kind, dom.n, dom.h),)
+    if f != composed_formula(levels):
         raise PromiseMismatchError("formula does not match the composed level structure")
-    bits = as_bits(x, f.n_vars)
-
-    def check(level_idx: int, segment) -> tuple:
-        kind, n, h = dom.levels[level_idx]
-        width = len(segment) // n
-        if level_idx == len(dom.levels) - 1:
-            values = list(segment)
-        else:
-            values = []
-            for j in range(n):
-                ok, value = check(level_idx + 1, segment[j * width:(j + 1) * width])
-                if not ok:
-                    return False, 0
-                values.append(value)
-        weight = sum(values)
-        if not _weight_ok(kind, n, h, weight):
-            return False, 0
-        return True, _gate_value(kind, weight, n)
-
-    ok, _ = check(0, bits)
-    return ok
+    values = as_bits(x, f.n_vars)
+    for kind, n, h in reversed(levels):  # bottom-up: blocks of n values become gate values
+        weights = [sum(values[i:i + n]) for i in range(0, len(values), n)]
+        if not all(_weight_ok(kind, n, h, w) for w in weights):
+            return False
+        values = [_gate_value(kind, w, n) for w in weights]
+    return True
 
 
 def count_composed_domain(levels) -> int:
@@ -517,13 +507,13 @@ def count_composed_domain(levels) -> int:
     return ones + zeros
 
 
-def enumerate_composed_domain(levels, cap: int = 1 << 20):
+def enumerate_composed_domain(levels):
     """Yield every assignment (as a bit tuple) of the composed promise domain.
 
-    Raises :class:`DomainTooLargeError` when the domain exceeds ``cap``.
+    Raises :class:`DomainTooLargeError` when the domain exceeds ``DOMAIN_CAP``.
     """
     levels = _checked_levels(levels)
-    if count_composed_domain(levels) > cap:
+    if count_composed_domain(levels) > DOMAIN_CAP:
         raise DomainTooLargeError("composed domain exceeds the exhaustive budget")
     strings = [((1,), 1), ((0,), 0)]  # (bits, value) for a raw bit
     for kind, n, h in reversed(levels):
@@ -536,6 +526,26 @@ def enumerate_composed_domain(levels, cap: int = 1 << 20):
         strings = nxt
     for bits, _value in strings:
         yield bits
+
+
+def side_maxima(f: Formula, inputs, value, **tracked) -> dict:
+    """One sweep over ``inputs`` (bit tuples) for several maxima at once.
+
+    Each ``name=(side, fn)`` gets ``(max fn(bits), first input attaining it)``
+    over the inputs with ``value(f, bits) == side``, or ``(None, None)`` when
+    that side is empty.
+    """
+    best = dict.fromkeys(tracked, (None, None))
+    by_side = ([], [])  # (name, fn) pairs tracked over the 0-inputs, the 1-inputs
+    for name, (side, fn) in tracked.items():
+        by_side[side].append((name, fn))
+    for bits in inputs:
+        for name, fn in by_side[value(f, bits)]:
+            v = fn(bits)
+            top = best[name][0]
+            if top is None or v > top:
+                best[name] = (v, bits)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .electrical import (
 )
 from .errors import DisconnectedError
 from .extended import INF, as_float
-from .formula import AND, Formula, as_bits, eval_formula
+from .formula import AND, Formula, as_bits, eval_formula, side_maxima
 from .graphs import Edge, Network, selector_from_assignment, subgraph
 
 POSITIVE = "positive"
@@ -347,33 +347,21 @@ def witness_extrema(program: SpanProgram, domain, f: Formula,
     """
     net = program.network
     weights = net.weight_map()
-    use_fold = net.formula is not None and net.formula == f
-    w_plus = w_minus = None
-    a_plus = a_minus = None
-    attain_plus = attain_minus = None
-    for x in domain:
-        bits = as_bits(x, f.n_vars)
-        value = eval_formula(f, bits)
-        if value == 1:
-            if use_fold:
-                wp = formula_resistance(f, bits, weights) / 2
-            else:
-                wp = positive_witness(program, bits).size
-            if w_plus is None or wp > w_plus:
-                w_plus, attain_plus = wp, bits
-            if include_approx:
-                ap = approx_positive_witness(program, bits).size
-                a_plus = ap if a_plus is None else max(a_plus, ap)
-        else:
-            if use_fold:
-                wm = 2 * formula_resistance(f, bits, weights, dual=True)
-            else:
-                wm = negative_witness(program, bits).size
-            if w_minus is None or wm > w_minus:
-                w_minus, attain_minus = wm, bits
-            if include_approx:
-                am = approx_negative_witness(program, bits).size
-                a_minus = am if a_minus is None else max(a_minus, am)
+    if net.formula is not None and net.formula == f:
+        exact = (lambda bits: formula_resistance(f, bits, weights) / 2,
+                 lambda bits: 2 * formula_resistance(f, bits, weights, dual=True))
+    else:
+        exact = (lambda bits: positive_witness(program, bits).size,
+                 lambda bits: negative_witness(program, bits).size)
+    approx = {}
+    if include_approx:
+        approx = {"a_plus": (1, lambda bits: approx_positive_witness(program, bits).size),
+                  "a_minus": (0, lambda bits: approx_negative_witness(program, bits).size)}
+    # perfbench/tracing.py patches eval_formula and the lambdas' callees here: keep them imported
+    best = side_maxima(f, (as_bits(x, f.n_vars) for x in domain), eval_formula,
+                       w_plus=(1, exact[0]), w_minus=(0, exact[1]), **approx)
+    (w_plus, attain_plus), (w_minus, attain_minus) = best["w_plus"], best["w_minus"]
+    a_plus, a_minus = (best.get(name, (None, None))[0] for name in ("a_plus", "a_minus"))
     bound = None
     if w_plus is not None and w_minus is not None:
         bound = math.sqrt(as_float(w_plus) * as_float(w_minus))

@@ -173,7 +173,7 @@ def test_three_level_product():
 
 def test_product_domain_cap():
     with pytest.raises(DomainTooLargeError):
-        verify_resistance_product([("and", 2, 1)] * 12, cap=1 << 10)
+        verify_resistance_product([("and", 2, 1)] * 12)
 
 
 def test_product_json_round_trip():

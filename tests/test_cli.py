@@ -338,6 +338,17 @@ def test_product_names_each_bad_level(capsys, levels, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("levels", [
+    "and:16:16,and:16:16,and:16:16,and:16:16,and:2:1",  # 131,072 leaves
+    ",".join(["and:2:1,or:2:1"] * 5),  # ten alternating levels, 2^1024 points
+])
+def test_product_checks_the_cap_before_building(capsys, levels):
+    code, out, err = run(capsys, "product", "--levels", levels)
+    assert (code, out) == (1, "")
+    assert err == "error: domain has more than 1048576 points\n"
+    assert "Exceeds the limit" not in err and "Traceback" not in err
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "reference-instance")
     assert code == 0

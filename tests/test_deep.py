@@ -193,7 +193,6 @@ RECURSIVE = {
     "electrical.simple_st_paths.dfs": "the path length, at most the edge budget",
     "formula.random_formula.build": "the split depth, O(log N) expected for random cut points",
     "formula.enumerate_formulas.shapes": "max_depth; the enumeration is exponential in it",
-    "formula.promise_membership.check": "the composed levels, at most log2 N",
     "nand.fault_complexity_bruteforce.value": "the tree depth d of its 2^d input bits",
     "nand.fault_complexity_bruteforce.paths": "the tree depth d of its 2^d input bits",
 }

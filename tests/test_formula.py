@@ -316,6 +316,14 @@ def test_promise_structural_mismatch():
         promise_membership(and_promise(2, 1), f, "11")
 
 
+def test_single_gate_promise_is_a_one_level_domain():
+    f = gate("and", [leaf(1), leaf(2), leaf(3)])
+    with pytest.raises(PromiseMismatchError, match="composed level structure"):
+        promise_membership(or_promise(3, 1), f, "111")
+    with pytest.raises(PromiseMismatchError, match=r"bad level \(and, 1, 1\)"):
+        promise_membership(and_promise(1, 1), leaf(1), "1")
+
+
 def test_full_domain_accepts_everything():
     f = build_nand_tree(2)
     dom = full_domain(4)
