@@ -173,8 +173,13 @@ class ExampleFamily:
     domain: DomainSpec
 
 
-def _line_family(n: int, h: int) -> ExampleFamily:
-    """Single path of n unit edges under the all-ones-or-few-ones promise."""
+def _line_family(n: int, h: int | None) -> ExampleFamily:
+    """Single path of n unit edges under the all-ones-or-few-ones promise;
+    ``h`` defaults to isqrt(n)."""
+    if n < 1:
+        raise ValueError(f"size n={n} must be at least 1")
+    if h is None:
+        h = math.isqrt(n)
     if not 1 <= h <= n:
         raise ValueError("need 1 <= h <= n")
     f = gate("and", [leaf(i + 1) for i in range(n)]) if n > 1 else leaf(1)
@@ -233,7 +238,7 @@ def _nand_kfault_family(d: int, k: int) -> ExampleFamily:
 def example_family(name: str, **params) -> ExampleFamily:
     """Generate one of the built-in families: line, balloon, nand-kfault."""
     if name == "line":
-        return _line_family(params["n"], params["h"])
+        return _line_family(params["n"], params.get("h"))
     if name == "balloon":
         return _balloon_family(params["n"])
     if name == "nand-kfault":

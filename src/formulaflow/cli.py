@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -288,7 +287,7 @@ def _cmd_game(args) -> int:
 def _cmd_bounds(args) -> int:
     params = {}
     if args.family == "line":
-        params = {"n": args.n, "h": args.h if args.h else int(math.isqrt(args.n))}
+        params = {"n": args.n, "h": args.h or None}
     elif args.family == "balloon":
         params = {"n": args.n}
     else:

@@ -8,8 +8,9 @@ Three mutually cross-checking resistance routes work on the network:
 * ``laplacian``  -- float solve of the grounded weighted Laplacian,
 * an exact rational solve of the same grounded Laplacian by the sparse
   minimum-degree kernel :func:`.linalg.solve_grounded_laplacian`, used by
-  :func:`optimal_flow` and the span-program module; dense ``linalg.rref``
-  now serves only ``lex_min_quadratics``.
+  :func:`optimal_flow` and the span-program module (its exact witnesses and
+  approximate-witness references); the dense ``linalg`` routines are only
+  the tests' oracle.
 
 :func:`formula_resistance` never builds the network: it folds the formula
 tree with :func:`.formula.fold` over reduced ``(numerator, denominator)``
@@ -145,7 +146,16 @@ class GroundedLaplacian:
 
     def potentials_exact(self) -> dict:
         """Exact potentials of a unit current, keyed by ``order``."""
-        sol = linalg.solve_grounded_laplacian(len(self.order), self.triplets, self.source)
+        rhs = [Fraction(0)] * len(self.order)
+        rhs[self.source] = Fraction(1)
+        sol = linalg.solve_grounded_laplacian(len(self.order), self.triplets, rhs)
+        return dict(zip(self.order, sol))
+
+    def solve_exact(self, currents: dict) -> dict:
+        """Exact potentials for the injected ``currents`` (vertex -> current;
+        the ground takes up their sum), keyed by ``order``."""
+        rhs = [currents.get(v, Fraction(0)) for v in self.order]
+        sol = linalg.solve_grounded_laplacian(len(self.order), self.triplets, rhs)
         return dict(zip(self.order, sol))
 
     def resistance_float(self) -> float:
@@ -165,7 +175,8 @@ class GroundedLaplacian:
 
 def grounded_laplacian(vertices, edges, s, t) -> GroundedLaplacian:
     """The Laplacian of the component of ``s`` grounded at ``t``, over
-    ``vertices`` and the ``edges`` among them."""
+    ``vertices`` and the ``edges`` among them.  With ``s == t`` it is the
+    component of the ground, for :meth:`GroundedLaplacian.solve_exact`."""
     comp = set(_label(edges, (s,)))
     order = [v for v in vertices if v in comp and v != t]
     index = {v: i for i, v in enumerate(order)}

@@ -1,11 +1,15 @@
 """Exact linear algebra over ``fractions.Fraction``.
 
 :func:`solve_grounded_laplacian`, the sparse kernel behind every exact
-unit-current solve, eliminates in minimum-degree order: on series-parallel
-networks (treewidth at most two) that adds no fill, so its cost grows about
-linearly.  Dense Gauss-Jordan elimination serves :func:`lex_min_quadratics`
-and is the kernel's test oracle.  Exact rationals keep both free of the
-tolerance questions of the float routes they cross-check.
+Laplacian solve (unit currents, the injections and Dirichlet data of the
+approximate-witness references), eliminates in minimum-degree order: on
+series-parallel networks (treewidth at most two) that adds no fill, so its
+cost grows about linearly.  The dense Gauss-Jordan routines below it
+(:func:`rref`, :func:`solve_consistent`, :func:`nullspace` and
+:func:`lex_min_quadratics`) no longer serve any production route: they are
+the tests' oracle for the kernel and for the approximate-witness references.
+Exact rationals keep both free of the tolerance questions of the float
+routes they cross-check.
 """
 
 from __future__ import annotations
@@ -14,16 +18,19 @@ import heapq
 from fractions import Fraction
 
 
-def solve_grounded_laplacian(n, edges, source):
-    """Exact potentials of a unit current from ``source`` into a ground.
+def solve_grounded_laplacian(n, edges, rhs):
+    """Exact potentials ``x`` of the grounded Laplacian system ``L x = rhs``.
 
     Vertices ``0 .. n-1`` are free and vertex ``n`` is the ground, held at
     potential zero; ``edges`` holds ``(i, j, w)`` with positive rational
-    conductance ``w`` (parallel edges add).  The graph must be connected, so
-    the grounded Laplacian is symmetric positive definite and needs no pivot
-    search.  Vertices are eliminated in minimum-degree order from a lazy heap;
-    a Schur complement of a grounded Laplacian is again one, so off-diagonal
-    entries never cancel.  Returns the ``n`` potentials.
+    conductance ``w`` (parallel edges add), and ``rhs`` the ``n`` injected
+    currents (the ground takes up their sum; an edge to the ground with a
+    Dirichlet value carries that value's current in ``rhs``).  The graph must
+    be connected, so the grounded Laplacian is symmetric positive definite
+    and needs no pivot search.  Vertices are eliminated in minimum-degree
+    order from a lazy heap; a Schur complement of a grounded Laplacian is
+    again one, so off-diagonal entries never cancel.  Returns the ``n``
+    potentials.
     """
     diag = [Fraction(0)] * n
     off = [{} for _ in range(n)]
@@ -35,8 +42,7 @@ def solve_grounded_laplacian(n, edges, source):
         if i < n and j < n:
             off[i][j] = off[i].get(j, 0) - w
             off[j][i] = off[j].get(i, 0) - w
-    rhs = [Fraction(0)] * n
-    rhs[source] = Fraction(1)
+    rhs = list(rhs)
     heap = [(len(row), k) for k, row in enumerate(off)]
     heapq.heapify(heap)
     done = [False] * n

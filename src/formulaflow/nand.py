@@ -289,6 +289,8 @@ def simulate_game(d: int, x, seed: int, reps: int,
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
+    if not 0 <= seed < 2**128:  # the range of a Philox key
+        raise ValueError(f"seed={seed} must satisfy 0 <= seed < 2**128")
     bits = as_bits(x, _leaf_count(d))
     table = _resistance_table(bits, d)
     root_r = table[0][0]

@@ -9,8 +9,14 @@ can be cross-checked against the independent series-parallel reduction of the
 network and of its structural dual.
 
 Approximate witnesses minimize the error term first and the norm second; the
-production solver is a two-stage float least-squares, and an exact rational
-solver over the same nested program serves as the reference oracle.
+production solver is a two-stage float least-squares.  Its exact reference
+uses the closed form of Ito and Jeffery ("Approximate span programs", ICALP
+2016, arXiv:1507.00432): the least positive error on a 0-input is 1/w-(x) and
+the least negative error on a 1-input is 1/w+(x).  Each reference is a few
+sparse exact solves of :func:`.linalg.solve_grounded_laplacian` (a quotient
+or component unit current, then grounded solves for the second stage), a
+method independent of the float SVD route; the dense lexicographic program
+over the same nested objectives stays in the tests as their oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .electrical import (
     component_of,
     components,
@@ -125,6 +130,15 @@ def positive_witness(program: SpanProgram, x) -> WitnessReport:
     return WitnessReport(POSITIVE, size, size_float, Fraction(0), vec, residual)
 
 
+def _quotient(net: Network, comp: dict):
+    """The host with each selected component contracted to its representative:
+    the representatives, in vertex order, and the edges joining two of them."""
+    reps = dict.fromkeys(comp[v] for v in net.vertices)
+    qedges = [Edge(comp[e.u], comp[e.v], e.label, e.weight) for e in net.edges
+              if comp[e.u] != comp[e.v]]
+    return reps, qedges
+
+
 def negative_witness(program: SpanProgram, x) -> WitnessReport:
     """Minimum squared row norm of a functional separating s from t.
 
@@ -137,10 +151,7 @@ def negative_witness(program: SpanProgram, x) -> WitnessReport:
     cs, ct = comp[net.s], comp[net.t]
     if cs == ct:
         return WitnessReport(NEGATIVE, INF, math.inf, Fraction(0), None, 0.0)
-    # the quotient: each selected component contracted to its representative
-    reps = dict.fromkeys(comp[v] for v in net.vertices)
-    qedges = [Edge(comp[e.u], comp[e.v], e.label, e.weight) for e in net.edges
-              if comp[e.u] != comp[e.v]]
+    reps, qedges = _quotient(net, comp)
     lap = grounded_laplacian(reps, qedges, cs, ct)
     if not lap.connected:
         # no host edge ever links the two groups: a 0/1 indicator annihilates
@@ -259,66 +270,78 @@ def approx_negative_witness(program: SpanProgram, x) -> WitnessReport:
 def approx_positive_witness_reference(program: SpanProgram, x):
     """Exact (error, size) pair for the approximate positive witness.
 
-    Substitute w = w' / sqrt(c) so the constraint matrix is the integer
-    incidence map and both stage objectives are diagonal rational forms.
+    With w = w' / sqrt(c) a witness is a unit s-t flow over the directed
+    columns, and the least norm splits each edge's flow evenly over its two
+    columns, so both stage values are half an energy.  Stage one routes the
+    current over absent edges only: the unit current of the quotient by the
+    selected components, so the error is R_q / 2 (Ito and Jeffery,
+    "Approximate span programs", ICALP 2016, arXiv:1507.00432: the least
+    error on a 0-input is 1/w-(x)).  Stage two keeps those currents and adds,
+    inside each component, the least-energy flow of the injections they
+    leave there, one grounded solve per component.  A 1-input has error 0
+    and the size R / 2 of :func:`positive_witness`.
     """
     net = program.network
-    present = {e.label for e in subgraph(net, selector_from_assignment(net, x)).edges}
-    weights = net.weight_map()
-    nvert = len(net.vertices)
-    vidx = program.vertex_index
-    ncols = len(program.directed)
-    eq = [[Fraction(0)] * ncols for _ in range(nvert)]
-    for col, (u, v, label) in enumerate(program.directed):
-        eq[vidx[u]][col] += Fraction(1)
-        eq[vidx[v]][col] -= Fraction(1)
-    rhs = [Fraction(0)] * nvert
-    rhs[vidx[net.s]] = Fraction(1)
-    rhs[vidx[net.t]] = Fraction(-1)
-    q1 = [[Fraction(0)] * ncols for _ in range(ncols)]
-    q2 = [[Fraction(0)] * ncols for _ in range(ncols)]
-    for col, (u, v, label) in enumerate(program.directed):
-        inv = 1 / Fraction(weights[label])
-        q2[col][col] = inv
-        if label not in present:
-            q1[col][col] = inv
-    _vec, (err, size) = linalg.lex_min_quadratics(eq, rhs, [q1, q2])
-    return err, size
+    sub = subgraph(net, selector_from_assignment(net, x))
+    comp = components(sub)
+    cs, ct = comp[net.s], comp[net.t]
+    if cs == ct:
+        lap = grounded_laplacian(sub.vertices, sub.edges, net.s, net.t)
+        return Fraction(0), lap.potentials_exact()[net.s] / 2
+    lap = grounded_laplacian(*_quotient(net, comp), cs, ct)
+    if not lap.connected:
+        raise DisconnectedError("host network never connects its terminals")
+    potentials = lap.potentials_exact()
+    injected = {net.s: Fraction(1), net.t: Fraction(-1)}
+    for e in net.edges:
+        cu, cv = comp[e.u], comp[e.v]
+        if cu != cv:
+            current = e.weight * (potentials.get(cu, 0) - potentials.get(cv, 0))
+            injected[e.u] = injected.get(e.u, 0) - current
+            injected[e.v] = injected.get(e.v, 0) + current
+    energy = potentials[cs]
+    for rep in dict.fromkeys(comp[v] for v, b in injected.items() if b):
+        phi = grounded_laplacian(sub.vertices, sub.edges, rep, rep).solve_exact(injected)
+        energy += sum(injected[v] * y for v, y in phi.items() if v in injected)
+    return potentials[cs] / 2, energy / 2
 
 
 def approx_negative_witness_reference(program: SpanProgram, x):
     """Exact (error, size) pair for the approximate negative witness.
 
-    The variables are the vertex potentials, where the stage Gram matrices
-    are (twice) the weighted Laplacians.
+    The variables are the vertex potentials, with omega(s) - omega(t) = 1,
+    and both stage values are twice a Dirichlet energy.  A 0-input has
+    error 0 and the size 2 / R_q of :func:`negative_witness`.  On a 1-input
+    stage one fixes omega on the component C of s and t to its unit-current
+    potentials over R_C, so the error is 2 / R_C (the least error on a
+    1-input is 1/w+(x), Ito and Jeffery, arXiv:1507.00432); every other
+    component is one free constant, and stage two finds those constants by
+    one Dirichlet solve on the quotient grounded at C.
     """
     net = program.network
-    present = {e.label for e in subgraph(net, selector_from_assignment(net, x)).edges}
-    weights = net.weight_map()
-    nvert = len(net.vertices)
-    vidx = program.vertex_index
-    eq = [[Fraction(0)] * nvert]
-    eq[0][vidx[net.s]] = Fraction(1)
-    eq[0][vidx[net.t]] = Fraction(-1)
-    rhs = [Fraction(1)]
-
-    def laplacian(edge_filter):
-        lap = [[Fraction(0)] * nvert for _ in range(nvert)]
-        for e in net.edges:
-            if not edge_filter(e):
-                continue
-            w = Fraction(weights[e.label])
-            iu, iv = vidx[e.u], vidx[e.v]
-            lap[iu][iu] += w
-            lap[iv][iv] += w
-            lap[iu][iv] -= w
-            lap[iv][iu] -= w
-        return [[2 * val for val in row] for row in lap]
-
-    q1 = laplacian(lambda e: e.label in present)
-    q2 = laplacian(lambda e: True)
-    _vec, (err, size) = linalg.lex_min_quadratics(eq, rhs, [q1, q2])
-    return err, size
+    sub = subgraph(net, selector_from_assignment(net, x))
+    comp = components(sub)
+    cs, ct = comp[net.s], comp[net.t]
+    if cs != ct:
+        lap = grounded_laplacian(*_quotient(net, comp), cs, ct)
+        if not lap.connected:
+            return Fraction(0), Fraction(0)
+        return Fraction(0), 2 / lap.potentials_exact()[cs]
+    phi = grounded_laplacian(sub.vertices, sub.edges, net.s, net.t).potentials_exact()
+    resistance = phi[net.s]
+    omega = {v: y / resistance for v, y in phi.items()}
+    omega[net.t] = Fraction(0)
+    boundary = {}  # the current each edge into C brings from its fixed end
+    for e in net.edges:
+        for here, there in ((e.u, e.v), (e.v, e.u)):
+            if comp[here] == cs and comp[there] != cs:
+                boundary[comp[there]] = boundary.get(comp[there], 0) + e.weight * omega[here]
+    free = grounded_laplacian(*_quotient(net, comp), cs, cs).solve_exact(boundary)
+    for v in net.vertices:
+        if comp[v] != cs:
+            omega[v] = free.get(comp[v], Fraction(0))
+    energy = sum(e.weight * (omega[e.u] - omega[e.v]) ** 2 for e in net.edges)
+    return 2 / resistance, 2 * energy
 
 
 # ---------------------------------------------------------------------------

@@ -505,7 +505,10 @@ def check_approx_witness() -> str:
     """Approximate witness sizes respect the fan-in/depth bounds on 200
     random formulas, the longest self-avoiding path respects its bound, and
     the two-stage solver matches the exact reference within 1e-7 on all
-    instances with at most six edges."""
+    instances with at most six edges.  There the exact reference's error
+    times the exact witness size of the other kind is exactly 1: the
+    positive error on a 0-input against the negative witness, the negative
+    error on a 1-input against the positive witness."""
     rng = np.random.default_rng(19)
     slack = 1e-7
     for _ in range(200):
@@ -535,7 +538,16 @@ def check_approx_witness() -> str:
                     if not _rel_close(got, want, 1e-7):
                         raise SuiteFailure(f"solver/reference gap on {f} x={bits}: "
                                            f"{got} vs {want}")
-    return "200 formulas: size bounds hold, solver matches the exact reference"
+                # span-program duality: the least error is 1 / (the other witness size)
+                if eval_formula(f, bits):
+                    product = err_n * positive_witness(program, bits).size
+                else:
+                    product = err_p * negative_witness(program, bits).size
+                if product != 1:
+                    raise SuiteFailure(f"duality violated on {f} x={bits}: "
+                                       f"error * witness size = {product}")
+    return ("200 formulas: size bounds hold, solver matches the exact reference, "
+            "exact errors are the reciprocal witness sizes")
 
 
 # ---------------------------------------------------------------------------

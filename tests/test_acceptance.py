@@ -91,7 +91,8 @@ def test_10_game_strategy_cost():
 def test_11_approx_witnesses_and_paths():
     # 200 random formulas (N <= 10): approximate witness sizes within the
     # fan-in/depth caps, longest path within its cap, solver matches the
-    # exact reference within 1e-7 on <= 6-edge instances
+    # exact reference within 1e-7 on <= 6-edge instances, and there each
+    # exact error is the reciprocal of the other kind's exact witness size
     _run("approx-witness")
 
 
@@ -129,6 +130,14 @@ def _shift_field(field, shift):
 def _float_hair(value):
     # a hair measured against the suites' 1e-9 and 1e-7 relative tolerances
     return value + 1e-6
+
+
+def _error_plus_hair(fn):
+    # (error, size) with the error a hair off: inside the 1e-7 float gap check
+    def wrapped(*args, **kwargs):
+        err, size = fn(*args, **kwargs)
+        return err + HAIR, size
+    return wrapped
 
 
 def _drop_last_path(fn):
@@ -236,6 +245,8 @@ PERTURBATIONS = {
                             "path bound violated"),
     # an OR depth one short puts the negative-size cap a level too low
     "approx-witness/size": (Formula, "or_depth", _one_short, "size bound violated"),
+    "approx-witness/duality": (verify, "approx_positive_witness_reference", _error_plus_hair,
+                               "duality violated"),
     "flow-decomposition": (verify, "optimal_flow", _energy_plus_hair, "energy mismatch"),
     "flow-decomposition/thomson": (verify, "optimal_flow", _one_path_flow,
                                    "energy above the effective resistance"),

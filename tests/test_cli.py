@@ -206,6 +206,20 @@ def test_negative_depth_exits_one_naming_d(capsys, argv):
     assert err == f"error: depth d={argv[2]} must be nonnegative\n"
 
 
+@pytest.mark.parametrize("n", ["-3", "0"])
+def test_bounds_line_nonpositive_size_names_n(capsys, n):
+    code, out, err = run(capsys, "bounds", "--family", "line", "--n", n)
+    assert (code, out) == (1, "")
+    assert err == f"error: size n={n} must be at least 1\n"
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_game_seed_out_of_range_names_seed(capsys, seed):
+    code, out, err = run(capsys, "game", "-d", "2", "-x", "1111", "--seed", seed)
+    assert (code, out) == (1, "")
+    assert err == f"error: seed={seed} must satisfy 0 <= seed < 2**128\n"
+
+
 def test_bounds_nand_negative_depth_names_d(capsys):
     code, out, err = run(capsys, "bounds", "--family", "nand", "--d", "-1")
     assert (code, out) == (1, "")

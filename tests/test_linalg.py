@@ -1,4 +1,6 @@
-"""The sparse grounded-Laplacian kernel against dense Gauss-Jordan elimination."""
+"""The sparse grounded-Laplacian kernel against dense Gauss-Jordan elimination,
+for unit sources, zero-sum injections at several vertices, and Dirichlet data
+carried by the edges to the ground."""
 
 import itertools
 from fractions import Fraction
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from formulaflow.linalg import solve_consistent, solve_grounded_laplacian
 
 
-def dense_oracle(n, edges, source):
+def dense_oracle(n, edges, rhs):
     """Potentials from the dense grounded Laplacian, solved by ``rref``."""
     lap = [[Fraction(0)] * n for _ in range(n)]
     for i, j, w in edges:
@@ -18,8 +20,32 @@ def dense_oracle(n, edges, source):
                 lap[a][a] += w
                 if b < n:
                     lap[a][b] -= w
-    rhs = [Fraction(int(k == source)) for k in range(n)]
     return solve_consistent(lap, rhs)
+
+
+def unit(n, source):
+    return [Fraction(int(k == source)) for k in range(n)]
+
+
+def injections(n, values):
+    """Currents ``values`` at vertices 0, 1, ... (cycled over the n free
+    vertices and the ground) and, at the ground, what makes them sum to zero:
+    the free vertices' part is the right-hand side."""
+    rhs = [Fraction(0)] * (n + 1)
+    for k, value in enumerate(values):
+        rhs[k % (n + 1)] += value
+    return rhs[:n]
+
+
+def dirichlet(n, edges, values):
+    """The right-hand side when the ground end of each edge to the ground is
+    held at its own value: vertex k takes w * value for each such edge
+    (k, ground, w), and every other vertex nothing."""
+    rhs = [Fraction(0)] * n
+    ground_edges = [(i if j == n else j, w) for i, j, w in edges if n in (i, j) and i != j]
+    for (k, w), value in zip(ground_edges, itertools.cycle(values)):
+        rhs[k] += w * value
+    return rhs
 
 
 def relabel(edges, ground):
@@ -63,11 +89,20 @@ NON_SERIES_PARALLEL = {
 }
 
 
+VALUES = [Fraction(3, 2), Fraction(-5), Fraction(2, 7), Fraction(-1, 3), Fraction(4)]
+
+
 @pytest.mark.parametrize("name", sorted(NON_SERIES_PARALLEL))
 def test_kernel_matches_dense_oracle_on_non_series_parallel_graphs(name):
     n, edges = NON_SERIES_PARALLEL[name]
     for source in range(n):
-        assert solve_grounded_laplacian(n, edges, source) == dense_oracle(n, edges, source)
+        assert solve_grounded_laplacian(n, edges, unit(n, source)) == dense_oracle(
+            n, edges, unit(n, source))
+    for shift in range(len(VALUES)):
+        values = VALUES[shift:] + VALUES[:shift]
+        for rhs in (injections(n, values), dirichlet(n, edges, values)):
+            assert any(rhs)
+            assert solve_grounded_laplacian(n, edges, rhs) == dense_oracle(n, edges, rhs)
 
 
 weights = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
@@ -93,4 +128,25 @@ def connected_graphs(draw):
 @settings(max_examples=200, deadline=None)
 def test_kernel_matches_dense_oracle_on_random_graphs(graph):
     n, edges, source = graph
-    assert solve_grounded_laplacian(n, edges, source) == dense_oracle(n, edges, source)
+    assert solve_grounded_laplacian(n, edges, unit(n, source)) == dense_oracle(
+        n, edges, unit(n, source))
+
+
+values = st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+                  min_size=1, max_size=12)
+
+
+@given(connected_graphs(), values)
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_dense_oracle_on_injections_and_dirichlet_data(graph, values):
+    n, edges, _source = graph
+    for rhs in (injections(n, values), dirichlet(n, edges, values)):
+        assert solve_grounded_laplacian(n, edges, rhs) == dense_oracle(n, edges, rhs)
+
+
+def test_kernel_leaves_its_right_hand_side_unchanged():
+    n, edges = NON_SERIES_PARALLEL["grid3x3"]
+    rhs = injections(n, VALUES)
+    kept = list(rhs)
+    solve_grounded_laplacian(n, edges, rhs)
+    assert rhs == kept

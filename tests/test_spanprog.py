@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -36,8 +38,10 @@ from formulaflow import (
     target_vector,
     witness_extrema,
 )
+from formulaflow import linalg
 from formulaflow.electrical import check_unit_flow, decompose_flow, flow_from_directed
 from formulaflow.errors import DisconnectedError
+from formulaflow.formula import AND, OR, fold
 
 
 def all_inputs(n):
@@ -295,6 +299,151 @@ def test_approx_matches_exact_reference():
             assert abs(pos.size - float(size_p)) < 1e-7
             assert abs(neg.error - float(err_n)) < 1e-7
             assert abs(neg.size - float(size_n)) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the exact references against the dense lexicographic program
+# ---------------------------------------------------------------------------
+
+def lex_min_positive(program, x):
+    """The positive reference as the nested program itself: with w = w'/sqrt(c)
+    the constraint is the integer incidence map and both stage objectives are
+    diagonal rational forms, minimized by ``linalg.lex_min_quadratics``."""
+    net = program.network
+    present = {e.label for e in subgraph(net, selector_from_assignment(net, x)).edges}
+    weights = net.weight_map()
+    nvert = len(net.vertices)
+    vidx = program.vertex_index
+    ncols = len(program.directed)
+    eq = [[Fraction(0)] * ncols for _ in range(nvert)]
+    for col, (u, v, label) in enumerate(program.directed):
+        eq[vidx[u]][col] += Fraction(1)
+        eq[vidx[v]][col] -= Fraction(1)
+    rhs = [Fraction(0)] * nvert
+    rhs[vidx[net.s]] = Fraction(1)
+    rhs[vidx[net.t]] = Fraction(-1)
+    q1 = [[Fraction(0)] * ncols for _ in range(ncols)]
+    q2 = [[Fraction(0)] * ncols for _ in range(ncols)]
+    for col, (u, v, label) in enumerate(program.directed):
+        inv = 1 / Fraction(weights[label])
+        q2[col][col] = inv
+        if label not in present:
+            q1[col][col] = inv
+    _vec, (err, size) = linalg.lex_min_quadratics(eq, rhs, [q1, q2])
+    return err, size
+
+
+def lex_min_negative(program, x):
+    """The negative reference as the nested program over vertex potentials,
+    whose stage Gram matrices are twice the weighted Laplacians."""
+    net = program.network
+    present = {e.label for e in subgraph(net, selector_from_assignment(net, x)).edges}
+    weights = net.weight_map()
+    nvert = len(net.vertices)
+    vidx = program.vertex_index
+    eq = [[Fraction(0)] * nvert]
+    eq[0][vidx[net.s]] = Fraction(1)
+    eq[0][vidx[net.t]] = Fraction(-1)
+    rhs = [Fraction(1)]
+
+    def laplacian(edge_filter):
+        lap = [[Fraction(0)] * nvert for _ in range(nvert)]
+        for e in net.edges:
+            if not edge_filter(e):
+                continue
+            w = Fraction(weights[e.label])
+            iu, iv = vidx[e.u], vidx[e.v]
+            lap[iu][iu] += w
+            lap[iv][iv] += w
+            lap[iu][iv] -= w
+            lap[iv][iu] -= w
+        return [[2 * val for val in row] for row in lap]
+
+    q1 = laplacian(lambda e: e.label in present)
+    q2 = laplacian(lambda e: True)
+    _vec, (err, size) = linalg.lex_min_quadratics(eq, rhs, [q1, q2])
+    return err, size
+
+
+def weighted_negated(rng, n):
+    """A random formula on n variables, each leaf negated with chance 1/3,
+    and weights p/q with p, q in 1..9."""
+    f = random_formula(rng, n)
+    f = fold(f, lambda g: leaf(g.var, negated=not rng.integers(3)),
+             partial(gate, AND), partial(gate, OR))
+    weights = {f"x{i + 1}": Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 10)))
+               for i in range(n)}
+    return f, weights
+
+
+def assert_references_match_lex_min(net):
+    program = build_span_program(net)
+    n = net.formula.n_vars if net.formula is not None else len(net.edges)
+    for x in all_inputs(n):
+        assert approx_positive_witness_reference(program, x) == lex_min_positive(program, x)
+        assert approx_negative_witness_reference(program, x) == lex_min_negative(program, x)
+
+
+def test_references_match_lex_min_on_formula_hosts():
+    rng = np.random.default_rng(1313)
+    for _ in range(12):
+        f, weights = weighted_negated(rng, int(rng.integers(1, 7)))
+        assert_references_match_lex_min(formula_graph(f, weights))
+        assert_references_match_lex_min(dual_network(f, weights))
+
+
+@pytest.mark.parametrize("pairs", [
+    [("s", "a"), ("s", "b"), ("a", "b"), ("a", "t"), ("b", "t")],
+    [("s", "a"), ("s", "b"), ("s", "t"), ("a", "b"), ("a", "t"), ("b", "t")],
+], ids=["wheatstone", "k4"])
+def test_references_match_lex_min_on_non_series_parallel_hosts(pairs):
+    # selected in edge order; the bridge a-b makes neither host series-parallel
+    net = Network(("s", "a", "b", "t"), "s", "t",
+                  tuple(Edge(u, v, f"e{i}", Fraction(i + 2, 3 + 2 * i))
+                        for i, (u, v) in enumerate(pairs)))
+    assert_references_match_lex_min(net)
+
+
+@pytest.mark.parametrize("net", [
+    Network(("s", "a", "t"), "s", "t", (Edge("s", "a", "e1", Fraction(2)),)),
+    Network(("s", "t", "a", "b"), "s", "t",
+            (Edge("a", "b", "e1", Fraction(1)), Edge("s", "a", "e2", Fraction(3)))),
+], ids=["isolated-t", "t-apart"])
+def test_references_on_a_host_that_never_connects(net):
+    program = build_span_program(net)
+    for x in all_inputs(len(net.edges)):
+        with pytest.raises(DisconnectedError, match="host network never connects"):
+            approx_positive_witness_reference(program, x)
+        with pytest.raises(ValueError):
+            lex_min_positive(program, x)
+        assert approx_negative_witness_reference(program, x) == (0, 0)
+        assert lex_min_negative(program, x) == (0, 0)
+
+
+# recorded with the dense lexicographic references, before they became kernel solves
+REFERENCE_DIGEST = "901b18e13f4ef57c50c67a4f19e6e482cc3af1f6a748c9cb3332b813375fa3d0"
+
+
+def reference_digest():
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(1313)
+    for i in range(40):
+        f, weights = weighted_negated(rng, int(rng.integers(1, 9)))
+        for name, host in (("primal", formula_graph(f, weights)),
+                           ("dual", dual_network(f, weights))):
+            program = build_span_program(host)
+            for x in all_inputs(f.n_vars):
+                pos = approx_positive_witness_reference(program, x)
+                neg = approx_negative_witness_reference(program, x)
+                digest.update(f"{i} {name} {x}|{pos!r}|{neg!r}".encode())
+    return digest.hexdigest()
+
+
+def test_references_match_golden_digest():
+    # both references, by repr, on every input of 40 random formulas
+    # (N <= 8, weights p/q, a third of the leaves negated) over the primal
+    # host and its dual: exact coverage past the N <= 6 the oracle above affords
+    assert reference_digest() == REFERENCE_DIGEST
 
 
 def test_approx_positive_requires_connectable_host():
