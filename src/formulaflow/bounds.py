@@ -223,8 +223,9 @@ def _nand_kfault_family(d: int, k: int) -> ExampleFamily:
     n = _leaf_count(d)
     if not 0 <= 2 * k <= d:
         raise ValueError("need 0 <= k <= d/2")
-    if d > 4:
-        raise DomainTooLargeError("k-fault enumeration supported for depth <= 4")
+    if n >= DOMAIN_CAP.bit_length():  # 2^n > DOMAIN_CAP, without building 2^n
+        raise DomainTooLargeError(f"k-fault enumeration of 2^(2^{d}) inputs exceeds "
+                                  f"the domain budget of {DOMAIN_CAP} inputs")
     f = build_nand_tree(d)
     members = []
     for bits in all_inputs(n):

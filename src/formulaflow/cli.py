@@ -436,9 +436,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): point it at devnull so
+        # the exit-time flush stays quiet, as Python's SIGPIPE note advises
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

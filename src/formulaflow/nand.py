@@ -1,6 +1,6 @@
 """Alternating-tree specifics: fault complexity, the resistance-guided move
-rule, full game simulation against a random opponent, and the repeated-full-
-evaluation baseline cost.
+rule (decided once per A node for all of a run's games), game simulation
+against a random opponent, and the repeated-full-evaluation baseline cost.
 
 The two-player game on a depth-d alternating tree walks from the root to a
 leaf; player A moves at nodes an even distance from the leaves, player B at
@@ -200,7 +200,17 @@ def is_k_fault(d: int, k: int, x) -> bool:
 # the Select rule and the game
 # ---------------------------------------------------------------------------
 
-def select(x0, x1, oracle=None):
+def _select_rule(r0, r1, depth: int):
+    """The Select rule on two depth-``depth`` children: ``(b, cost, violated)``
+    for the side b of smaller resistance (ties go to 0), its cost
+    2^(depth/4) * sqrt(R_b), and whether R_b <= 2 R_(1-b) fails."""
+    b = 0 if r0 <= r1 else 1
+    chosen, other = (r0, r1) if b == 0 else (r1, r0)
+    cost = 2.0 ** (depth / 4.0) * math.sqrt(as_float(chosen))
+    return b, cost, other is not INF and chosen > 2 * other
+
+
+def select(x0, x1):
     """Pick the child subtree with the smaller effective resistance.
 
     ``x0`` and ``x1`` are same-depth alternating-tree instances, at least one
@@ -212,16 +222,11 @@ def select(x0, x1, oracle=None):
     if len(x0) != len(x1):
         raise AssignmentLengthError("subinstances must have equal length")
     d = _depth_of(len(x0))
-    if oracle is None:
-        r0 = subtree_resistance(as_bits(x0, len(x0)), d)
-        r1 = subtree_resistance(as_bits(x1, len(x1)), d)
-    else:
-        r0 = oracle(x0, d)
-        r1 = oracle(x1, d)
+    r0 = subtree_resistance(as_bits(x0, len(x0)), d)
+    r1 = subtree_resistance(as_bits(x1, len(x1)), d)
     if r0 is INF and r1 is INF:
         raise DisconnectedError("both subinstances are losing for A")
-    b = 0 if r0 <= r1 else 1
-    cost = 2.0 ** (d / 4.0) * math.sqrt(as_float(min(r0, r1)))
+    b, cost, _ = _select_rule(r0, r1, d)
     return b, cost
 
 
@@ -284,8 +289,8 @@ def simulate_game(d: int, x, seed: int, reps: int,
     """Play ``reps`` games on an A-winnable instance with B moving uniformly.
 
     Player A, at nodes an even distance (> 0) from the leaves, plays the
-    resistance-guided rule on the two child subinstances and pays its cost;
-    B's choices are drawn from a counter-based generator keyed by ``seed``.
+    resistance-guided rule, decided once per A node of the resistance table,
+    and pays its cost; B's choices come from a Philox generator keyed by ``seed``.
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
@@ -300,8 +305,12 @@ def simulate_game(d: int, x, seed: int, reps: int,
         keep_transcripts = reps <= 64
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    b_levels = [level for level in range(d) if (d - level) % 2 == 1]
-    b_draws = rng.integers(0, 2, size=(reps, max(1, len(b_levels))))
+    b_draws = rng.integers(0, 2, size=(reps, max(1, (d + 1) // 2))).tolist()  # per B level
+    # a_moves[level][pos] is A's (child, cost, violated) there; None at B levels
+    a_moves = [None if (d - level) % 2 else
+               [_select_rule(below[i], below[i + 1], d - level - 1)
+                for i in range(0, len(below), 2)]
+               for level, below in enumerate(table[1:])]
 
     bound_exp = d / 4.0 + (5.5 if d % 2 == 0 else 5.0)
     bound = 2.0 ** bound_exp * math.sqrt(float(root_r))
@@ -309,33 +318,23 @@ def simulate_game(d: int, x, seed: int, reps: int,
     wins = 0
     total = 0.0
     worst = 0.0
-    select_calls = 0
     violations = 0
     transcripts = [] if keep_transcripts else None
-    for rep in range(reps):
+    for draws in map(iter, b_draws):
         pos = 0
         cost = 0.0
         moves = [] if keep_transcripts else None
-        b_idx = 0
-        for level in range(d):
-            r = d - level  # distance of the current node from the leaves
-            left = table[level + 1][2 * pos]
-            right = table[level + 1][2 * pos + 1]
-            if r % 2 == 0:
-                child = 0 if left <= right else 1
-                step = 2.0 ** ((r - 1) / 4.0) * math.sqrt(as_float(min(left, right)))
+        for level, level_moves in enumerate(a_moves):
+            if level_moves is not None:
+                child, step, violated = level_moves[pos]
                 cost += step
-                select_calls += 1
-                chosen, other = (left, right) if child == 0 else (right, left)
-                if other is not INF and chosen > 2 * other:
-                    violations += 1
+                violations += violated
             else:
-                child = int(b_draws[rep][b_idx])
-                b_idx += 1
+                child = next(draws)
                 step = 0.0
             if keep_transcripts:
                 moves.append(Move(format(pos, f"0{level}b") if level else "root",
-                                  "A" if r % 2 == 0 else "B", child, step))
+                                  "B" if level_moves is None else "A", child, step))
             pos = 2 * pos + child
         won = bits[pos] == 1
         wins += won
@@ -345,7 +344,7 @@ def simulate_game(d: int, x, seed: int, reps: int,
             transcripts.append(GameTranscript(tuple(moves), "A" if won else "B", cost))
     mean_cost = total / reps
     return GameStats(d, seed, reps, wins, mean_cost, worst, bound,
-                     mean_cost <= bound, select_calls, violations,
+                     mean_cost <= bound, reps * (d // 2), violations,
                      tuple(transcripts) if keep_transcripts else None)
 
 

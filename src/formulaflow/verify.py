@@ -501,14 +501,24 @@ def check_game_strategy() -> str:
 # 11. approximate witnesses and longest paths
 # ---------------------------------------------------------------------------
 
+def _duality_product(f, bits, err_p, err_n):
+    """Span-program duality against the fold: the least error times the
+    other kind's witness size, w+ = R / 2 on a 1-input and w- = 2 R_dual on
+    a 0-input, is 1."""
+    if eval_formula(f, bits):
+        return err_n * formula_resistance(f, bits) / 2
+    return err_p * 2 * formula_resistance(f, bits, dual=True)
+
+
 def check_approx_witness() -> str:
     """Approximate witness sizes respect the fan-in/depth bounds on 200
     random formulas, the longest self-avoiding path respects its bound, and
     the two-stage solver matches the exact reference within 1e-7 on all
     instances with at most six edges.  There the exact reference's error
-    times the exact witness size of the other kind is exactly 1: the
-    positive error on a 0-input against the negative witness, the negative
-    error on a 1-input against the positive witness."""
+    times the other kind's witness size, read off the resistance fold rather
+    than the grounded solve behind the reference, is exactly 1: the positive
+    error on a 0-input against w- = 2 R_dual, the negative error on a
+    1-input against w+ = R / 2."""
     rng = np.random.default_rng(19)
     slack = 1e-7
     for _ in range(200):
@@ -538,11 +548,7 @@ def check_approx_witness() -> str:
                     if not _rel_close(got, want, 1e-7):
                         raise SuiteFailure(f"solver/reference gap on {f} x={bits}: "
                                            f"{got} vs {want}")
-                # span-program duality: the least error is 1 / (the other witness size)
-                if eval_formula(f, bits):
-                    product = err_n * positive_witness(program, bits).size
-                else:
-                    product = err_p * negative_witness(program, bits).size
+                product = _duality_product(f, bits, err_p, err_n)
                 if product != 1:
                     raise SuiteFailure(f"duality violated on {f} x={bits}: "
                                        f"error * witness size = {product}")

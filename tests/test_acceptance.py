@@ -14,10 +14,24 @@ import dataclasses
 import inspect
 import operator
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from formulaflow import bounds, electrical, verify
+from formulaflow import (
+    approx_negative_witness_reference,
+    approx_positive_witness_reference,
+    bounds,
+    build_span_program,
+    electrical,
+    eval_formula,
+    formula_graph,
+    linalg,
+    negative_witness,
+    parse_formula,
+    positive_witness,
+    verify,
+)
 from formulaflow.extended import INF
 from formulaflow.formula import Formula
 from formulaflow.verify import CRITERIA, run_criterion, run_suite
@@ -282,3 +296,29 @@ def test_perturbed_route_fails_its_suite(case, monkeypatch):
     assert result.name == name
     assert result.passed is False, result.detail
     assert result.detail.startswith(detail), result.detail
+
+
+def test_duality_check_moves_off_one_under_a_scaled_kernel(monkeypatch):
+    # the references and the exact witnesses share one grounded kernel, so
+    # error * witness size reads 1 whatever the kernel returns; the suite's
+    # product against the resistance fold does not
+    f = parse_formula("(x1|x2)&x3")
+    program = build_span_program(formula_graph(f))
+
+    def products():
+        fold, shared = [], []
+        for bits in product((0, 1), repeat=3):
+            err_p, _ = approx_positive_witness_reference(program, bits)
+            err_n, _ = approx_negative_witness_reference(program, bits)
+            fold.append(verify._duality_product(f, bits, err_p, err_n))
+            shared.append(err_n * positive_witness(program, bits).size if eval_formula(f, bits)
+                          else err_p * negative_witness(program, bits).size)
+        return fold, shared
+
+    assert products() == ([1] * 8, [1] * 8)
+    solve = linalg.solve_grounded_laplacian
+    monkeypatch.setattr(linalg, "solve_grounded_laplacian",
+                        lambda n, edges, rhs: [3 * v for v in solve(n, edges, rhs)])
+    fold, shared = products()
+    assert shared == [1] * 8
+    assert sorted(set(fold)) == [Fraction(1, 3), 3]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -316,6 +320,16 @@ def test_bounds_kfault_family(capsys):
     assert doc["exhaustive"] is True
 
 
+def test_bounds_kfault_family_names_the_domain_budget(capsys):
+    # d = 4 enumerates 2^16 inputs, inside the 2^20 budget; d = 5 needs 2^32
+    code, _, _ = run(capsys, "bounds", "--family", "nand", "--d", "4", "--k", "0")
+    assert code == 0
+    code, out, err = run(capsys, "bounds", "--family", "nand", "--d", "5")
+    assert (code, out) == (1, "")
+    assert err == ("error: k-fault enumeration of 2^(2^5) inputs exceeds the domain "
+                   "budget of 1048576 inputs\n")
+
+
 def test_jobs_flag_parallel_verify(capsys):
     code, out, _ = run(capsys, "--jobs", "2", "verify", "--suite",
                        "reference-instance")
@@ -379,3 +393,19 @@ def test_verify_unknown_suite(capsys):
     code, _out, err = run(capsys, "verify", "--suite", "nonsense")
     assert code == 1
     assert "unknown suite" in err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # the parse tree of a 20,000-leaf formula is far larger than a pipe
+    # buffer, so the command is still writing when the reader closes its end
+    formula = "&".join(f"x{i}" for i in range(1, 20001))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "formulaflow", "parse", "-f", formula],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"and\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""

@@ -93,10 +93,11 @@ def test_inf_takes_part_in_no_arithmetic(op):
 
 # ---------------------------------------------------------------------------
 # the routes that meet an open branch: one digest recorded before INF lost
-# its arithmetic
+# its arithmetic, extended with larger games before each A move was decided
+# once per node
 # ---------------------------------------------------------------------------
 
-GOLDEN_DIGEST = "f74d1c5c1c99036a287024919927b6af2195ed60843d1755f64bb976d1c9196c"
+GOLDEN_DIGEST = "2dc0e070a09cf1e9790882f19e374a54b4149c41d832c0b3634916317674e5b9"
 
 
 def _typed(value) -> str:
@@ -133,11 +134,23 @@ def _golden_digest():
                 digest.update(repr(select(x0, x1)).encode())
             except DisconnectedError as exc:
                 digest.update(f"{type(exc).__name__}: {exc}".encode())
+    for d in range(2, 11):
+        while True:
+            bits = tuple(rng.randint(0, 1) for _ in range(1 << d))
+            if subtree_resistance(bits, d) is not INF:
+                break
+        for reps in (64, 65, 1000):
+            stats = simulate_game(d, bits, seed=d, reps=reps)
+            digest.update(stats.to_json())
+            digest.update(repr((stats.wins, stats.mean_cost, stats.max_cost, stats.bound_ok,
+                                stats.select_calls, stats.guarantee_violations)).encode())
     return digest.hexdigest()
 
 
 def test_open_branch_routes_match_golden_digest():
     # every input up to d = 4: subtree_resistance, every FaultReport field and
     # both cut backends, with type names; game JSON and stats for three seeds
-    # at each d = 2..10; select on all or 300 sampled instance pairs, d <= 3
+    # at each d = 2..10; select on all or 300 sampled instance pairs, d <= 3;
+    # one more instance at each d = 2..10 played 64 times (transcripts kept),
+    # 65 times (just past the transcript default) and 1,000 times
     assert _golden_digest() == GOLDEN_DIGEST

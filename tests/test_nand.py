@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,18 +176,6 @@ def test_select_rejects_double_loss():
         select("00", "00")
 
 
-def test_select_custom_oracle():
-    calls = []
-
-    def oracle(x, d):
-        calls.append((tuple(x), d))
-        return Fraction(4) if 0 in tuple(int(b) for b in x) else Fraction(1)
-
-    b, cost = select("11", "10", oracle=oracle)
-    assert b == 0 and len(calls) == 2
-    assert cost == pytest.approx(2 ** 0.25 * 1.0)
-
-
 # ---------------------------------------------------------------------------
 # game simulation
 # ---------------------------------------------------------------------------
@@ -222,6 +209,28 @@ def test_depth2_single_decision_cost():
         assert len(a_moves) == 1
         assert a_moves[0].cost == pytest.approx(expected)
         assert a_moves[0].child == 0
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_transcript_a_moves_equal_select_on_sliced_children(d):
+    # each A move, read by its node's position, must equal select on the two
+    # child subinstances sliced from the input: the resistance table's rows
+    # are indexed as the tree is laid out
+    rng = np.random.default_rng(d)
+    played = 0
+    while played < 4:
+        bits = tuple(int(b) for b in rng.integers(0, 2, 1 << d))
+        if subtree_resistance(bits, d) is INF:
+            continue
+        played += 1
+        stats = simulate_game(d, bits, seed=played, reps=16, keep_transcripts=True)
+        a_moves = [m for tr in stats.transcripts for m in tr.moves if m.turn == "A"]
+        assert len(a_moves) == stats.select_calls == 16 * (d // 2)
+        for m in a_moves:
+            level, pos = (0, 0) if m.node == "root" else (len(m.node), int(m.node, 2))
+            width = 1 << (d - level)
+            node = bits[pos * width:(pos + 1) * width]
+            assert select(node[:width // 2], node[width // 2:]) == (m.child, m.cost)
 
 
 def test_game_rejects_losing_instance():
