@@ -329,7 +329,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = verify_mod.resolve_suite(args.suite)
-    results = verify_mod.run_suite(names, jobs=args.jobs)
+    results = verify_mod.run_suite(names, jobs=args.jobs, as_json=args.json)
     return 0 if all(r.passed for r in results) else 1
 
 

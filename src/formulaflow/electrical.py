@@ -12,6 +12,13 @@ Three mutually cross-checking resistance routes work on the network:
   approximate-witness references); the dense ``linalg`` routines are only
   the tests' oracle.
 
+The exact routes compute on reduced ``(numerator, denominator)`` int pairs,
+one ``math.gcd`` per operation, and build a ``Fraction`` only for a value
+they return: the reduction merges resistors with the fold's :func:`_series`
+and :func:`_parallel`, :func:`optimal_flow` forms each current
+c * (p(u) - p(v)) from the kernel's potentials, and :func:`flow_energy` sums
+theta^2 / c.
+
 :func:`formula_resistance` never builds the network: it folds the formula
 tree with :func:`.formula.fold` over reduced ``(numerator, denominator)``
 pairs of ints, ``(1, 0)`` marking an open branch.  AND adds resistances in
@@ -89,10 +96,11 @@ def components(net: Network) -> dict:
 # ---------------------------------------------------------------------------
 
 def _insert(resistance: dict, nbrs: dict, u, v, r) -> None:
-    """Put resistance ``r`` between ``u`` and ``v``, in parallel with any there."""
+    """Put resistance ``r`` (a pair) between ``u`` and ``v``, in parallel with
+    any there."""
     key = frozenset((u, v))
     old = resistance.get(key)
-    resistance[key] = r if old is None else old * r / (old + r)
+    resistance[key] = r if old is None else _parallel((old, r))
     nbrs[u].add(v)
     nbrs[v].add(u)
 
@@ -108,10 +116,10 @@ def _reduce_series_parallel(net: Network):
     if not terminals_connected(net):
         return INF
     s, t = net.s, net.t
-    resistance = {}  # frozenset of the two ends -> resistance
+    resistance = {}  # frozenset of the two ends -> resistance as a reduced pair
     nbrs = {v: set() for v in net.vertices}
     for e in net.edges:
-        _insert(resistance, nbrs, e.u, e.v, 1 / e.weight)
+        _insert(resistance, nbrs, e.u, e.v, (e.weight.denominator, e.weight.numerator))
     work = list(net.vertices)
     while work:
         v = work.pop()
@@ -122,10 +130,10 @@ def _reduce_series_parallel(net: Network):
         for w in ends:
             nbrs[w].discard(v)
         if len(ends) == 2:
-            _insert(resistance, nbrs, *ends, rs[0] + rs[1])
+            _insert(resistance, nbrs, *ends, _series(rs))
         work.extend(ends)
     if resistance.keys() == {frozenset((s, t))}:
-        return resistance.popitem()[1]
+        return Fraction(*resistance.popitem()[1])
     raise NotSeriesParallelError("reduction stalled; network is not series-parallel")
 
 
@@ -231,8 +239,8 @@ def formula_resistance(f: Formula, x, weights=None, dual: bool = False):
     def leaf(g: Formula):
         if bits[g.var - first] ^ g.negated == absent:
             return 1, 0
-        w = _leaf_weight(weights, f"x{g.var}")
-        return (w.numerator, w.denominator) if dual else (w.denominator, w.numerator)
+        p, q = _leaf_weight(weights, f"x{g.var}")
+        return (p, q) if dual else (q, p)
 
     p, q = fold(f, leaf, _parallel, _series) if dual else fold(f, leaf, _series, _parallel)
     return Fraction(p, q) if q else INF
@@ -290,10 +298,16 @@ def check_unit_flow(net: Network, flow: FlowAssignment) -> None:
 
 
 def flow_energy(net: Network, flow: FlowAssignment) -> Fraction:
-    total = Fraction(0)
+    """Sum of theta^2 / c over the edges, over reduced pairs: one ``math.gcd``
+    per edge keeps the sum's denominator from growing as a product."""
+    p, q = 0, 1
     for e in net.edges:
-        total += flow.value(e.u, e.v, e.label) ** 2 / e.weight
-    return total
+        theta, w = flow.values.get((e.u, e.v, e.label), 0), e.weight
+        a, b = theta.numerator ** 2 * w.denominator, theta.denominator ** 2 * w.numerator
+        p, q = p * b + a * q, q * b
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+    return Fraction(p, q)
 
 
 def optimal_flow(net: Network):
@@ -306,14 +320,15 @@ def optimal_flow(net: Network):
     lap = grounded_laplacian(net.vertices, net.edges, net.s, net.t)
     if not lap.connected:
         raise DisconnectedError("terminals are not connected")
-    potentials = lap.potentials_exact()
-    potentials[net.t] = Fraction(0)
+    potentials = {v: (p.numerator, p.denominator) for v, p in lap.potentials_exact().items()}
+    potentials[net.t] = (0, 1)
     values = {}
     for e in net.edges:
         if e.u in potentials and e.v in potentials:
-            theta = e.weight * (potentials[e.u] - potentials[e.v])
-            if theta != 0:
-                values[(e.u, e.v, e.label)] = theta
+            (nu, du), (nv, dv) = potentials[e.u], potentials[e.v]
+            num = e.weight.numerator * (nu * dv - nv * du)
+            if num:
+                values[(e.u, e.v, e.label)] = Fraction(num, e.weight.denominator * du * dv)
     flow = flow_from_directed(values)
     return flow, flow_energy(net, flow)
 

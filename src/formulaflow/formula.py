@@ -273,7 +273,13 @@ def render(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 
 def as_bits(x, n: int) -> tuple:
-    """Coerce an assignment (bitstring or sequence) to a tuple of 0/1 bits."""
+    """Coerce an assignment (bitstring or sequence) to a tuple of 0/1 bits.
+
+    A tuple of ``n`` exact ``int`` 0/1 bits is already canonical and comes
+    back as it is; the domain sweeps pass each input through several layers.
+    """
+    if type(x) is tuple and len(x) == n and set(map(type, x)) <= {int} and set(x) <= {0, 1}:
+        return x
     if isinstance(x, str):
         if not all(c in "01" for c in x):
             raise AssignmentLengthError(f"assignment must be a bitstring, got {x!r}")

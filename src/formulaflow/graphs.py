@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import AssignmentLengthError, LabelCollisionError
@@ -157,17 +157,17 @@ def compose_networks(mode: str, parts: Sequence[Network]) -> Network:
     return _assemble((mode, parts), "s", "t")
 
 
-def _leaf_weight(weights, label: str) -> Fraction:
-    """The weight of ``label``: one when ``weights`` is empty, else its entry,
-    which must be positive."""
+def _leaf_weight(weights, label: str) -> tuple:
+    """The weight of ``label`` as a reduced ``(numerator, denominator)`` pair:
+    one when ``weights`` is empty, else its entry, which must be positive."""
     if not weights:
-        return Fraction(1)
+        return 1, 1
     if label not in weights:
         raise ValueError(f"weights give no value for label {label!r}")
     w = Fraction(weights[label])
     if w.numerator <= 0:
         raise ValueError(f"edge {label!r} needs a positive rational weight")
-    return w
+    return w.numerator, w.denominator
 
 
 def _formula_network(f: Formula, weight, s: str, t: str) -> Network:
@@ -185,7 +185,7 @@ def formula_graph(f: Formula, weights: Mapping[str, Fraction] | None = None) -> 
     terminals ``s`` and ``t``.  ``weights`` maps edge labels to rationals and
     defaults to all ones; a non-empty mapping must cover every label.
     """
-    return _formula_network(f, partial(_leaf_weight, weights), "s", "t")
+    return _formula_network(f, lambda label: Fraction(*_leaf_weight(weights, label)), "s", "t")
 
 
 def dual_network(f: Formula, weights: Mapping[str, Fraction] | None = None) -> Network:
@@ -195,7 +195,8 @@ def dual_network(f: Formula, weights: Mapping[str, Fraction] | None = None) -> N
     and each dual edge carries the reciprocal weight of its primal partner.
     A non-empty ``weights`` must cover every label, as for the primal.
     """
-    return _formula_network(dual_formula(f), lambda label: 1 / _leaf_weight(weights, label),
+    return _formula_network(dual_formula(f),
+                            lambda label: Fraction(*_leaf_weight(weights, label)[::-1]),
                             "s'", "t'")
 
 

@@ -1,21 +1,34 @@
-"""Exact linear algebra over ``fractions.Fraction``.
+"""Exact linear algebra over the rationals.
 
 :func:`solve_grounded_laplacian`, the sparse kernel behind every exact
 Laplacian solve (unit currents, the injections and Dirichlet data of the
 approximate-witness references), eliminates in minimum-degree order: on
 series-parallel networks (treewidth at most two) that adds no fill, so its
-cost grows about linearly.  The dense Gauss-Jordan routines below it
-(:func:`rref`, :func:`solve_consistent`, :func:`nullspace` and
-:func:`lex_min_quadratics`) no longer serve any production route: they are
-the tests' oracle for the kernel and for the approximate-witness references.
-Exact rationals keep both free of the tolerance questions of the float
-routes they cross-check.
+cost grows about linearly.  It takes and returns ``fractions.Fraction``s but
+computes on reduced ``(numerator, denominator)`` int pairs, one ``math.gcd``
+per operation.  The dense Gauss-Jordan routines below it (:func:`rref`,
+:func:`solve_consistent`, :func:`nullspace` and :func:`lex_min_quadratics`)
+work in ``Fraction`` operators and no longer serve any production route:
+they are the tests' oracle for the kernel and for the approximate-witness
+references.  Exact rationals keep both free of the tolerance questions of
+the float routes they cross-check.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
+
+
+def _sub_mul(x, f, y) -> tuple:
+    """``x - f * y`` for ``(numerator, denominator)`` pairs with positive
+    denominators, returned reduced with one ``math.gcd``."""
+    (a, b), (c, d), (e, h) = x, f, y
+    den = b * d * h
+    num = a * d * h - c * e * b
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def solve_grounded_laplacian(n, edges, rhs):
@@ -30,19 +43,27 @@ def solve_grounded_laplacian(n, edges, rhs):
     and needs no pivot search.  Vertices are eliminated in minimum-degree
     order from a lazy heap; a Schur complement of a grounded Laplacian is
     again one, so off-diagonal entries never cancel.  Returns the ``n``
-    potentials.
+    potentials as ``Fraction``s.
+
+    The arithmetic runs on reduced ``(numerator, denominator)`` int pairs.
+    Every conductance is first scaled by the lcm of their denominators, so
+    the matrix starts out integral; the potentials are scaled back at the end.
     """
-    diag = [Fraction(0)] * n
+    scale = math.lcm(*(w.denominator for _i, _j, w in edges))
+    diag = [0] * n
     off = [{} for _ in range(n)]
     for i, j, w in edges:
+        c = w.numerator * (scale // w.denominator)
         if i < n:
-            diag[i] += w
+            diag[i] += c
         if j < n:
-            diag[j] += w
+            diag[j] += c
         if i < n and j < n:
-            off[i][j] = off[i].get(j, 0) - w
-            off[j][i] = off[j].get(i, 0) - w
-    rhs = list(rhs)
+            off[i][j] = off[i].get(j, 0) - c
+            off[j][i] = off[j].get(i, 0) - c
+    diag = [(d, 1) for d in diag]
+    off = [{j: (c, 1) for j, c in row.items()} for row in off]
+    rhs = [(r.numerator, r.denominator) for r in rhs]
     heap = [(len(row), k) for k, row in enumerate(off)]
     heapq.heapify(heap)
     done = [False] * n
@@ -52,25 +73,31 @@ def solve_grounded_laplacian(n, edges, rhs):
         if done[k] or degree != len(off[k]):
             continue  # stale entry: a fresh one was pushed when the degree changed
         done[k] = True
-        pivot, bk = diag[k], rhs[k]
+        (pn, pd), bk = diag[k], rhs[k]
         row = list(off[k].items())
-        for a, la in row:
+        for a, (ln, ld) in row:
             adj = off[a]
             del adj[k]
-            factor = la / pivot
-            diag[a] -= factor * la
-            if bk:
-                rhs[a] -= factor * bk
+            fn, fd = ln * pd, ld * pn  # the factor la / pivot
+            g = math.gcd(fn, fd)
+            factor = fn // g, fd // g
+            diag[a] = _sub_mul(diag[a], factor, (ln, ld))
+            if bk[0]:
+                rhs[a] = _sub_mul(rhs[a], factor, bk)
             for b, lb in row:
                 if b != a:
-                    adj[b] = adj.get(b, 0) - factor * lb
+                    adj[b] = _sub_mul(adj.get(b, (0, 1)), factor, lb)
         for a, _la in row:
             heapq.heappush(heap, (len(off[a]), a))
-        steps.append((k, pivot, bk, row))
-    x = [Fraction(0)] * n
-    for k, pivot, bk, row in reversed(steps):
-        x[k] = (bk - sum(lk * x[j] for j, lk in row)) / pivot
-    return x
+        steps.append((k, pn, pd, bk, row))
+    x = [(0, 1)] * n
+    for k, pn, pd, bk, row in reversed(steps):
+        sn, sd = bk
+        for j, lk in row:
+            sn, sd = _sub_mul((sn, sd), lk, x[j])
+        g = math.gcd(sn * pd, sd * pn)
+        x[k] = sn * pd // g, sd * pn // g
+    return [Fraction(xn * scale, xd) for xn, xd in x]
 
 
 def _clone(matrix):

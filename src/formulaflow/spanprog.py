@@ -114,16 +114,19 @@ def positive_witness(program: SpanProgram, x) -> WitnessReport:
     lap = grounded_laplacian(sub.vertices, sub.edges, sub.s, sub.t)
     if not lap.connected:
         return WitnessReport(POSITIVE, INF, math.inf, Fraction(0), None, 0.0)
-    potentials = lap.potentials_exact()
-    size = potentials[sub.s] / 2
-    potentials[sub.t] = Fraction(0)
+    exact = lap.potentials_exact()
+    size = exact[sub.s] / 2
+    potentials = {v: (p.numerator, p.denominator) for v, p in exact.items()}
+    potentials[sub.t] = (0, 1)
     weights = net.weight_map()
     present_labels = {e.label for e in sub.edges}
     vec = np.zeros(len(program.directed))
     for col, (u, v, label) in enumerate(program.directed):
         if label in present_labels and u in potentials and v in potentials:
-            theta = weights[label] * (potentials[u] - potentials[v])
-            vec[col] = float(theta) / (2.0 * math.sqrt(float(weights[label])))
+            (nu, du), (nv, dv), w = potentials[u], potentials[v], weights[label]
+            # theta = w * (p(u) - p(v)); int true division rounds correctly
+            theta = w.numerator * (nu * dv - nv * du) / (w.denominator * du * dv)
+            vec[col] = theta / (2.0 * math.sqrt(float(w)))
     a = span_matrix(program)
     residual = float(np.linalg.norm(a @ vec - target_vector(program)))
     size_float = lap.resistance_float() / 2.0  # independent float route
@@ -162,7 +165,8 @@ def negative_witness(program: SpanProgram, x) -> WitnessReport:
     potentials = lap.potentials_exact()
     resistance = potentials[cs]
     size = 2 / resistance
-    omega = {v: potentials.get(comp[v], Fraction(0)) / resistance for v in net.vertices}
+    scaled = {rep: potentials.get(rep, Fraction(0)) / resistance for rep in reps}
+    omega = {v: scaled[comp[v]] for v in net.vertices}
     size_float = 2.0 / lap.resistance_float()
     norm_sq = 2.0 * sum(float(e.weight) * (float(omega[e.u]) - float(omega[e.v])) ** 2
                         for e in net.edges)

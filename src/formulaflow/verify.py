@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 import math
 import operator
 import sys
@@ -637,12 +638,13 @@ def run_criterion(name: str) -> CriterionResult:
     return CriterionResult(name, passed, detail, time.perf_counter() - start)
 
 
-def run_suite(names=None, stream=None, jobs: int = 1) -> list:
+def run_suite(names=None, stream=None, jobs: int = 1, as_json: bool = False) -> list:
     """Run the named suites (default: all) and print one line per result.
 
     With ``jobs`` > 1 the suites run in worker processes.  Lines come in the
     given order either way, each as soon as it and every earlier suite are
-    done.
+    done.  With ``as_json`` each line is one JSON object with the keys
+    ``suite``, ``passed``, ``seconds`` and ``detail``.
     """
     out = stream or sys.stdout
     names = list(names or CRITERIA)
@@ -651,8 +653,12 @@ def run_suite(names=None, stream=None, jobs: int = 1) -> list:
                     else contextlib.nullcontext())
     with pool_context as pool:
         for result in (pool.map if pool else map)(run_criterion, names):
-            status = "PASS" if result.passed else "FAIL"
-            print(f"[{status}] {result.name} ({result.elapsed:.1f}s): {result.detail}",
-                  file=out, flush=True)
+            if as_json:
+                line = json.dumps({"suite": result.name, "passed": result.passed,
+                                   "seconds": result.elapsed, "detail": result.detail})
+            else:
+                status = "PASS" if result.passed else "FAIL"
+                line = f"[{status}] {result.name} ({result.elapsed:.1f}s): {result.detail}"
+            print(line, file=out, flush=True)
             results.append(result)
     return results

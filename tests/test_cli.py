@@ -389,6 +389,16 @@ def test_verify_suite_alias(capsys):
     assert "[PASS] reference-instance" in out
 
 
+def test_verify_json_prints_one_object_per_suite(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "flow-decomposition", "--json")
+    assert code == 0
+    (line,) = out.splitlines()
+    doc = json.loads(line)
+    assert list(doc) == ["suite", "passed", "seconds", "detail"]
+    assert doc["suite"] == "flow-decomposition" and doc["passed"] is True
+    assert isinstance(doc["seconds"], float) and doc["detail"]
+
+
 def test_verify_unknown_suite(capsys):
     code, _out, err = run(capsys, "verify", "--suite", "nonsense")
     assert code == 1

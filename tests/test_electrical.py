@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -42,10 +43,23 @@ from formulaflow import (
     subgraph,
     witness_cut,
 )
-from formulaflow.electrical import flow_from_directed, terminals_connected
+from formulaflow.electrical import (
+    _parallel,
+    _series,
+    flow_from_directed,
+    grounded_laplacian,
+    terminals_connected,
+)
 from formulaflow.errors import DisconnectedError, NotSeriesParallelError, SearchBudgetError
 from formulaflow.formula import fold
 from formulaflow.graphs import Edge, Network
+from formulaflow.spanprog import (
+    approx_negative_witness_reference,
+    approx_positive_witness_reference,
+    build_span_program,
+    negative_witness,
+    positive_witness,
+)
 
 
 def all_inputs(n):
@@ -220,6 +234,40 @@ def test_reduction_matches_kernel_on_nested_compositions():
                 optimal_flow(net)
         else:
             assert optimal_flow(net)[1] == r
+
+
+big = st.integers(1, 10 ** 30)
+OPEN = (1, 0)
+pair_resistances = st.one_of(st.just(OPEN), st.tuples(st.integers(0, 10 ** 30), big))
+
+
+@given(st.lists(st.one_of(st.just(OPEN), st.tuples(st.integers(-10 ** 30, 10 ** 30), big)),
+                max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_pair_series_matches_fraction(pairs):
+    # the fold's gate sum, the reduction's series step and the flow energy:
+    # signed numerators, zero and large denominators; an open term opens it
+    p, q = _series(pairs)
+    if OPEN in pairs:
+        assert (p, q) == OPEN
+    else:
+        assert Fraction(p, q) == sum((Fraction(*r) for r in pairs), Fraction(0))
+        assert q > 0 and math.gcd(p, q) == 1
+
+
+@given(st.lists(pair_resistances, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_pair_parallel_matches_fraction(pairs):
+    # conductances add; an open branch adds none, a short (0, q) shorts the bank
+    p, q = _parallel(pairs)
+    closed = [Fraction(*r) for r in pairs if r != OPEN]
+    if not closed:
+        assert (p, q) == OPEN
+    elif 0 in closed:
+        assert (p, q) == (0, 1)
+    else:
+        assert Fraction(p, q) == 1 / sum(1 / r for r in closed)
+        assert q > 0 and math.gcd(p, q) == 1
 
 
 def _network(vertices, pairs, resistances):
@@ -619,3 +667,88 @@ def test_longest_path_disconnected_is_zero():
     net = line(2)
     sub = subgraph(net, selector_from_assignment(net, "01"))
     assert longest_self_avoiding_path(sub) == 0
+
+
+# ---------------------------------------------------------------------------
+# exact electrical layer against one golden digest
+# ---------------------------------------------------------------------------
+
+# recorded while the kernel, the reduction, the flows and the exact witnesses
+# still computed in ``Fraction`` operators
+ELECTRICAL_GOLDEN_DIGEST = "1f90dfb70d7f18fd5edfa37fa60eeceb3e7273a290856ab81519fed4eec181ac"
+
+
+def _golden_plain_hosts():
+    """Weighted Wheatstone bridge and K4 between s and t: not series-parallel."""
+    bridge = [("s", "a"), ("s", "b"), ("a", "b"), ("a", "t"), ("b", "t")]
+    k4 = [("s", "a"), *K4_EDGES, ("d", "t")]
+    yield "wheatstone", _network("sabt", bridge, [1, 2, Fraction(1, 3), 3, Fraction(5, 2)])
+    yield "k4", _network("sabcdt", k4, [Fraction(2, 3), 1, 2, 3, Fraction(1, 4), 5, 7, 1])
+
+
+def _golden_formula_hosts(rng):
+    """Random weighted formulas with negated leaves, N <= 9, both polarities."""
+    for i in range(40):
+        n = int(rng.integers(1, 10))
+        f = _relabelled(random_formula(rng, n, max_fanin=4) if n > 1 else leaf(1), rng)
+        weights = _pq_weights(rng, 1, n)
+        yield f"formula {i} {f!r} primal", formula_graph(f, weights), PRIMAL
+        yield f"formula {i} {f!r} dual", dual_network(f, weights), DUAL
+
+
+def _witness_key(vec):
+    """The positive witness vector's bytes, the negative functional's items,
+    or None."""
+    if isinstance(vec, np.ndarray):
+        return vec.tobytes()
+    return None if vec is None else list(vec.items())
+
+
+def _electrical_golden_digest():
+    digest = hashlib.sha256()
+
+    def put(*items):
+        digest.update("|".join(map(repr, items)).encode())
+
+    rng = np.random.default_rng(1515)
+    hosts = [(label, net, PRIMAL) for label, net in _golden_plain_hosts()]
+    hosts += list(_golden_formula_hosts(rng))
+    for label, host, polarity in hosts:
+        program = build_span_program(host)
+        m = len(host.edges)
+        inputs = list(all_inputs(m)) if m <= 8 else \
+            [tuple(int(b) for b in rng.integers(0, 2, size=m)) for _ in range(24)]
+        for x in inputs:
+            put(label, x)
+            sub = subgraph(host, selector_from_assignment(host, x, polarity))
+            lap = grounded_laplacian(sub.vertices, sub.edges, sub.s, sub.t)
+            if lap.connected:
+                put("kernel", list(lap.potentials_exact().items()))
+                currents = {v: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+                            for v in lap.order}
+                put("kernel rhs", list(lap.solve_exact(currents).items()))
+                flow, energy = optimal_flow(sub)
+                put("flow", list(flow.values.items()), energy, flow_energy(sub, flow))
+                put("pieces", decompose_flow(flow))
+            try:
+                put("reduce_sp", effective_resistance(sub, EXACT_SP))
+            except NotSeriesParallelError:
+                put("reduce_sp", "not series-parallel")
+            if polarity == PRIMAL:
+                for report in (positive_witness(program, x), negative_witness(program, x)):
+                    put(report.kind, report.size, report.size_float, report.error,
+                        report.residual, _witness_key(report.witness))
+                put("references", approx_positive_witness_reference(program, x),
+                    approx_negative_witness_reference(program, x))
+    return digest.hexdigest()
+
+
+def test_electrical_results_match_golden_digest():
+    # the exact potentials of the kernel (unit current, random signed
+    # currents), reduce_sp, optimal_flow with its dict order and energies,
+    # decompose_flow's pieces, the exact witnesses (sizes, size_float,
+    # residual, vector bytes, omega items) and the approximate-witness
+    # references on every input of a weighted Wheatstone bridge and K4, and on
+    # 24 inputs of each host (both polarities) of 40 random weighted formulas
+    # with negated leaves, N <= 9
+    assert _electrical_golden_digest() == ELECTRICAL_GOLDEN_DIGEST

@@ -3,12 +3,13 @@ for unit sources, zero-sum injections at several vertices, and Dirichlet data
 carried by the edges to the ground."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from formulaflow.linalg import solve_consistent, solve_grounded_laplacian
+from formulaflow.linalg import _sub_mul, solve_consistent, solve_grounded_laplacian
 
 
 def dense_oracle(n, edges, rhs):
@@ -109,16 +110,17 @@ weights = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
 
 
 @st.composite
-def connected_graphs(draw):
+def connected_graphs(draw, weight=weights):
     """A random spanning tree on n + 1 vertices plus extra (possibly parallel)
-    edges, every edge with a rational weight p/q, p, q in 1..9."""
+    edges, every edge with a rational weight drawn from ``weight`` (by default
+    p/q with p, q in 1..9)."""
     n = draw(st.integers(1, 9))
     edges = []
     for v in range(1, n + 1):
-        edges.append((draw(st.integers(0, v - 1)), v, draw(weights)))
+        edges.append((draw(st.integers(0, v - 1)), v, draw(weight)))
     pairs = st.tuples(st.integers(0, n), st.integers(0, n)).filter(lambda p: p[0] != p[1])
     for i, j in draw(st.lists(pairs, max_size=3 * n)):
-        edges.append((i, j, draw(weights)))
+        edges.append((i, j, draw(weight)))
     ground = draw(st.integers(0, n))
     source = draw(st.integers(0, n - 1))
     return n, relabel(edges, ground), source
@@ -142,6 +144,29 @@ def test_kernel_matches_dense_oracle_on_injections_and_dirichlet_data(graph, val
     n, edges, _source = graph
     for rhs in (injections(n, values), dirichlet(n, edges, values)):
         assert solve_grounded_laplacian(n, edges, rhs) == dense_oracle(n, edges, rhs)
+
+
+big = st.integers(1, 10 ** 30)
+signed = st.integers(-10 ** 30, 10 ** 30)
+
+
+@given(connected_graphs(st.builds(Fraction, big, big)),
+       st.lists(st.builds(Fraction, signed, big), min_size=1, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_kernel_matches_dense_oracle_with_large_denominators(graph, values):
+    n, edges, _source = graph
+    rhs = injections(n, values)
+    assert solve_grounded_laplacian(n, edges, rhs) == dense_oracle(n, edges, rhs)
+
+
+@given(st.tuples(signed, big), st.tuples(signed, big), st.tuples(signed, big))
+@settings(max_examples=500, deadline=None)
+def test_pair_sub_mul_matches_fraction(x, f, y):
+    # the kernel's one pair operation, on signed numerators (zero included)
+    # and large denominators, reduced or not
+    num, den = _sub_mul(x, f, y)
+    assert Fraction(num, den) == Fraction(*x) - Fraction(*f) * Fraction(*y)
+    assert den > 0 and math.gcd(num, den) == 1
 
 
 def test_kernel_leaves_its_right_hand_side_unchanged():
