@@ -40,7 +40,6 @@ from .graphs import (
     SERIES,
     Edge,
     Network,
-    SubgraphSelector,
     compose_networks,
     dual_network,
     export,

@@ -287,7 +287,7 @@ def _cmd_game(args) -> int:
 def _cmd_bounds(args) -> int:
     params = {}
     if args.family == "line":
-        params = {"n": args.n, "h": args.h or None}
+        params = {"n": args.n, "h": args.h}
     elif args.family == "balloon":
         params = {"n": args.n}
     else:
@@ -417,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("bounds", _cmd_bounds, help="bound figures for an example family")
     p.add_argument("--family", choices=("line", "balloon", "nand"), required=True)
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--h", type=int, default=0)
+    p.add_argument("--h", type=int, default=None)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--unit", action="store_true", help="force unit weights")

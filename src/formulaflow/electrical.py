@@ -25,8 +25,8 @@ pairs of ints, ``(1, 0)`` marking an open branch.  AND adds resistances in
 series and OR adds conductances in parallel (swapped for the dual), with one
 ``math.gcd`` per gate; only the root builds a ``Fraction``, or ``INF``.  Cut
 sizes come from a fold over (min, +) and from one max-flow routine that
-:func:`cut_size` and :func:`witness_cut` share.  Edges are selected by
-:func:`.graphs.selector_from_assignment` and :func:`.graphs.subgraph` only.
+:func:`cut_size` and :func:`witness_cut` share, on the host edges that
+:func:`.graphs.selector_from_assignment` keeps.
 
 Disconnection is reported as the value ``INF`` from :mod:`.extended`.
 """
@@ -48,7 +48,7 @@ from .errors import (
 )
 from .extended import INF
 from .formula import Formula, as_bits, fold
-from .graphs import Network, _leaf_weight, selector_from_assignment, subgraph
+from .graphs import Network, _leaf_weight, selector_from_assignment
 
 EXACT_SP = "exact-sp"
 LAPLACIAN = "laplacian"
@@ -84,11 +84,6 @@ def component_of(net: Network, start: str) -> set:
 
 def terminals_connected(net: Network) -> bool:
     return net.t in _label(net.edges, (net.s,))
-
-
-def components(net: Network) -> dict:
-    """Map vertex -> canonical component representative (first in vertex order)."""
-    return _label(net.edges, net.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +146,6 @@ class GroundedLaplacian:
     triplets: list
     source: int
     connected: bool
-
-    def potentials_exact(self) -> dict:
-        """Exact potentials of a unit current, keyed by ``order``."""
-        rhs = [Fraction(0)] * len(self.order)
-        rhs[self.source] = Fraction(1)
-        sol = linalg.solve_grounded_laplacian(len(self.order), self.triplets, rhs)
-        return dict(zip(self.order, sol))
 
     def solve_exact(self, currents: dict) -> dict:
         """Exact potentials for the injected ``currents`` (vertex -> current;
@@ -320,7 +308,8 @@ def optimal_flow(net: Network):
     lap = grounded_laplacian(net.vertices, net.edges, net.s, net.t)
     if not lap.connected:
         raise DisconnectedError("terminals are not connected")
-    potentials = {v: (p.numerator, p.denominator) for v, p in lap.potentials_exact().items()}
+    potentials = {v: (p.numerator, p.denominator)
+                  for v, p in lap.solve_exact({net.s: 1}).items()}
     potentials[net.t] = (0, 1)
     values = {}
     for e in net.edges:
@@ -476,10 +465,10 @@ def _min_cut(host: Network, x):
     Selected edges get capacity |E| + 1, so no minimum cut crosses one.
     Returns None when the selected subgraph connects the terminals.
     """
-    sub = subgraph(host, selector_from_assignment(host, x))
-    if terminals_connected(sub):
+    kept = selector_from_assignment(host, x)
+    if host.t in _label(kept, (host.s,)):
         return None
-    present = {e.label for e in sub.edges}
+    present = {e.label for e in kept}
     big = len(host.edges) + 1
     index = {v: i for i, v in enumerate(host.vertices)}
     capacity = defaultdict(int)

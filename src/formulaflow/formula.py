@@ -170,14 +170,16 @@ def gate(kind: str, children: Sequence[Formula]) -> Formula:
 # parsing and rendering
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(x[1-9][0-9]*|[()&|~])|(\S))")
+_TOKEN = re.compile(r"\s*(?:(x[1-9][0-9]*|[()&|~])|(x[0-9]*|\S))")
 
 
 def _tokenize(text: str):
     out = []
     for m in _TOKEN.finditer(text):
-        if m.group(2):
-            raise FormulaSyntaxError(f"unexpected character {m.group(2)!r}", m.start())
+        bad = m.group(2)
+        if bad:
+            kind = "token" if len(bad) > 1 else "character"
+            raise FormulaSyntaxError(f"unexpected {kind} {bad!r}", m.start())
         out.append((m.group(1), m.start(1)))
     return out + [(None, len(text))]
 
@@ -497,9 +499,14 @@ def promise_membership(dom: PromiseDomain, f: Formula, x) -> bool:
 
 
 def count_composed_domain(levels) -> int:
-    """Size of the composed promise domain, computed without enumeration."""
+    """Size of the composed promise domain, computed without enumeration; a
+    structure of more than ``DOMAIN_CAP`` leaves raises
+    :class:`DomainTooLargeError` before any level's weights are looped over."""
+    levels = _checked_levels(levels)
+    if math.prod(n for _kind, n, _h in levels) > DOMAIN_CAP:
+        raise DomainTooLargeError(f"composed structure has more than {DOMAIN_CAP} leaves")
     ones, zeros = 1, 1  # counts for a single raw bit
-    for kind, n, h in reversed(_checked_levels(levels)):
+    for kind, n, h in reversed(levels):
         n1 = n0 = 0
         for w in range(n + 1):
             if not _weight_ok(kind, n, h, w):

@@ -7,6 +7,9 @@ graph of an AND gate is the series composition of its children's graphs, of an
 OR gate the parallel composition, and of a leaf a single labeled edge.  Each
 network is assembled from its whole composition tree in one pass and validated
 once; formula-derived networks carry a back-reference to their formula.
+
+:func:`selector_from_assignment` returns the host edges an input keeps, from a
+per-network table of bit indices and negation flips built at first use.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .errors import AssignmentLengthError, LabelCollisionError
+from .errors import LabelCollisionError
 from .formula import Formula, as_bits, dual_formula, fold
 
 SERIES = "series"
@@ -62,7 +65,7 @@ class Network:
             if e.label in labels:
                 raise LabelCollisionError(f"duplicate edge label {e.label!r}")
             labels.add(e.label)
-            if not isinstance(e.weight, Fraction) or e.weight <= 0:
+            if not isinstance(e.weight, Fraction) or e.weight.numerator <= 0:
                 raise ValueError(f"edge {e.label!r} needs a positive rational weight")
 
     def __eq__(self, other):
@@ -83,6 +86,19 @@ class Network:
         if self.formula is None:
             return frozenset()
         return frozenset(f"x{v}" for v in self.formula.negated_vars())
+
+    @cached_property
+    def _selection(self) -> tuple:
+        """``(bit index, negation flip)`` of each edge, in edge order: bit i of
+        an input is edge i, or on a formula-derived network the i-th leaf
+        ``x{first_var + i}``, and the flip is 1 on a negated leaf."""
+        f = self.formula
+        if f is None:
+            return tuple((i, 0) for i in range(len(self.edges)))
+        leaves = tuple(f.leaves())
+        if self.labels != tuple(f"x{g.var}" for g in leaves):
+            raise ValueError("edges do not match the leaves of the network's formula")
+        return tuple((i, int(g.negated)) for i, g in enumerate(leaves))
 
     def weight_map(self) -> dict:
         return {e.label: e.weight for e in self.edges}
@@ -164,7 +180,9 @@ def _leaf_weight(weights, label: str) -> tuple:
         return 1, 1
     if label not in weights:
         raise ValueError(f"weights give no value for label {label!r}")
-    w = Fraction(weights[label])
+    w = weights[label]
+    if type(w) is not Fraction:
+        w = Fraction(w)
     if w.numerator <= 0:
         raise ValueError(f"edge {label!r} needs a positive rational weight")
     return w.numerator, w.denominator
@@ -208,49 +226,27 @@ PRIMAL = "primal"
 DUAL = "dual"
 
 
-@dataclass(frozen=True)
-class SubgraphSelector:
-    """Assignment over edge labels plus a polarity.
+def selector_from_assignment(net: Network, x, polarity: str = PRIMAL) -> tuple:
+    """The host edges that the assignment ``x`` keeps, in edge order.
 
-    Primal polarity keeps edges whose presence bit is 1, dual polarity those
-    whose presence bit is 0.  For edges that realize a negated leaf the
-    presence bit is the complement of the assignment bit.
-    """
-
-    bits: Mapping[str, int]
-    polarity: str = PRIMAL
-
-    def __post_init__(self):
-        if self.polarity not in (PRIMAL, DUAL):
-            raise ValueError(f"unknown polarity {self.polarity!r}")
-
-
-def selector_from_assignment(net: Network, x, polarity: str = PRIMAL) -> SubgraphSelector:
-    """Build a selector from a plain assignment.
-
-    On a formula-derived network bit i sets the label ``x{first_var + i}``;
-    on any other network bit i sets the i-th edge, in edge order.
+    On a formula-derived network bit i sets the leaf ``x{first_var + i}``;
+    on any other network bit i sets the i-th edge.  An edge is present when
+    its bit is 1, or 0 on a negated leaf; primal polarity keeps the present
+    edges, dual polarity the absent ones.
     """
     f = net.formula
-    if f is None:
-        bits = as_bits(x, len(net.edges))
-        return SubgraphSelector({e.label: bits[i] for i, e in enumerate(net.edges)},
-                                polarity)
-    bits = as_bits(x, f.n_vars)
-    mapping = {f"x{f.first_var + i}": bits[i] for i in range(f.n_vars)}
-    return SubgraphSelector(mapping, polarity)
+    bits = as_bits(x, len(net.edges) if f is None else f.n_vars)
+    if polarity not in (PRIMAL, DUAL):
+        raise ValueError(f"unknown polarity {polarity!r}")
+    keep = 1 if polarity == PRIMAL else 0
+    return tuple(e for e, (i, flip) in zip(net.edges, net._selection)
+                 if bits[i] ^ flip == keep)
 
 
-def subgraph(net: Network, sel: SubgraphSelector) -> Network:
-    """Edge-induced subgraph; every vertex (terminals included) is retained."""
-    missing = [label for label in net.labels if label not in sel.bits]
-    if missing:
-        raise AssignmentLengthError(f"selector misses labels {missing}")
-    negated = net.negated_labels
-    target = 1 if sel.polarity == PRIMAL else 0
-    kept = tuple(e for e in net.edges
-                 if (sel.bits[e.label] ^ (1 if e.label in negated else 0)) == target)
-    return Network(net.vertices, net.s, net.t, kept)
+def subgraph(net: Network, kept) -> Network:
+    """The subgraph of ``net`` on the edges ``kept``, validated as any network;
+    every vertex (terminals included) is retained."""
+    return Network(net.vertices, net.s, net.t, tuple(kept))
 
 
 def formula_subgraph(f: Formula, x, weights=None, polarity: str = PRIMAL) -> Network:

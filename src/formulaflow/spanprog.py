@@ -2,11 +2,12 @@
 
 The program for a network spans one coordinate per *directed* edge; the map
 sends (u, v, lambda) to sqrt(c) * (e_u - e_v) and the target is e_s - e_t.
-Exact witness sizes are computed from the definitional quadratic programs
-(positive: a grounded-Laplacian solve on the selected subgraph; negative: a
-potential minimization on the quotient by the selected components), so they
-can be cross-checked against the independent series-parallel reduction of the
-network and of its structural dual.
+Every solver works on the host edges that
+:func:`.graphs.selector_from_assignment` keeps; exact witness sizes come from
+the definitional quadratic programs (positive: a grounded-Laplacian solve on
+the kept edges; negative: a potential minimization on the quotient by their
+components), so they can be cross-checked against the independent
+series-parallel reduction of the network and of its structural dual.
 
 Approximate witnesses minimize the error term first and the norm second; the
 production solver is a two-stage float least-squares.  Its exact reference
@@ -29,15 +30,15 @@ from fractions import Fraction
 import numpy as np
 
 from .electrical import (
+    _label,
     component_of,
-    components,
     formula_resistance,
     grounded_laplacian,
 )
 from .errors import DisconnectedError
 from .extended import INF, as_float
 from .formula import AND, Formula, as_bits, eval_formula, side_maxima
-from .graphs import Edge, Network, selector_from_assignment, subgraph
+from .graphs import Edge, Network, selector_from_assignment
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -110,19 +111,18 @@ def positive_witness(program: SpanProgram, x) -> WitnessReport:
     """Minimum squared norm of an edge-space vector reaching the target over
     the available edges; INF when the selected subgraph is disconnected."""
     net = program.network
-    sub = subgraph(net, selector_from_assignment(net, x))
-    lap = grounded_laplacian(sub.vertices, sub.edges, sub.s, sub.t)
+    kept = selector_from_assignment(net, x)
+    lap = grounded_laplacian(net.vertices, kept, net.s, net.t)
     if not lap.connected:
         return WitnessReport(POSITIVE, INF, math.inf, Fraction(0), None, 0.0)
-    exact = lap.potentials_exact()
-    size = exact[sub.s] / 2
+    exact = lap.solve_exact({net.s: 1})
+    size = exact[net.s] / 2
     potentials = {v: (p.numerator, p.denominator) for v, p in exact.items()}
-    potentials[sub.t] = (0, 1)
-    weights = net.weight_map()
-    present_labels = {e.label for e in sub.edges}
+    potentials[net.t] = (0, 1)
+    weights = {e.label: e.weight for e in kept}
     vec = np.zeros(len(program.directed))
     for col, (u, v, label) in enumerate(program.directed):
-        if label in present_labels and u in potentials and v in potentials:
+        if label in weights and u in potentials and v in potentials:
             (nu, du), (nv, dv), w = potentials[u], potentials[v], weights[label]
             # theta = w * (p(u) - p(v)); int true division rounds correctly
             theta = w.numerator * (nu * dv - nv * du) / (w.denominator * du * dv)
@@ -150,7 +150,7 @@ def negative_witness(program: SpanProgram, x) -> WitnessReport:
     minimize twice the weighted Dirichlet energy over all host edges.
     """
     net = program.network
-    comp = components(subgraph(net, selector_from_assignment(net, x)))
+    comp = _label(selector_from_assignment(net, x), net.vertices)
     cs, ct = comp[net.s], comp[net.t]
     if cs == ct:
         return WitnessReport(NEGATIVE, INF, math.inf, Fraction(0), None, 0.0)
@@ -162,7 +162,7 @@ def negative_witness(program: SpanProgram, x) -> WitnessReport:
         omega = {v: Fraction(1) if comp[v] in lap.component else Fraction(0)
                  for v in net.vertices}
         return WitnessReport(NEGATIVE, Fraction(0), 0.0, Fraction(0), omega, 0.0)
-    potentials = lap.potentials_exact()
+    potentials = lap.solve_exact({cs: 1})
     resistance = potentials[cs]
     size = 2 / resistance
     scaled = {rep: potentials.get(rep, Fraction(0)) / resistance for rep in reps}
@@ -225,7 +225,7 @@ def approx_positive_witness(program: SpanProgram, x) -> WitnessReport:
         raise DisconnectedError("host network never connects its terminals")
     a = span_matrix(program)
     tau = target_vector(program)
-    present = {e.label for e in subgraph(net, selector_from_assignment(net, x)).edges}
+    present = {e.label for e in selector_from_assignment(net, x)}
     absent = [i for i, (u, v, label) in enumerate(program.directed)
               if label not in present]
     w0, *_ = np.linalg.lstsq(a, tau, rcond=None)
@@ -244,7 +244,7 @@ def approx_negative_witness(program: SpanProgram, x) -> WitnessReport:
     """Two-stage solve over vertex functionals with omega(tau) = 1."""
     net = program.network
     a = span_matrix(program)
-    present = {e.label for e in subgraph(net, selector_from_assignment(net, x)).edges}
+    present = {e.label for e in selector_from_assignment(net, x)}
     present_cols = [i for i, (u, v, label) in enumerate(program.directed)
                     if label in present]
     n = len(net.vertices)
@@ -286,16 +286,16 @@ def approx_positive_witness_reference(program: SpanProgram, x):
     and the size R / 2 of :func:`positive_witness`.
     """
     net = program.network
-    sub = subgraph(net, selector_from_assignment(net, x))
-    comp = components(sub)
+    kept = selector_from_assignment(net, x)
+    comp = _label(kept, net.vertices)
     cs, ct = comp[net.s], comp[net.t]
     if cs == ct:
-        lap = grounded_laplacian(sub.vertices, sub.edges, net.s, net.t)
-        return Fraction(0), lap.potentials_exact()[net.s] / 2
+        lap = grounded_laplacian(net.vertices, kept, net.s, net.t)
+        return Fraction(0), lap.solve_exact({net.s: 1})[net.s] / 2
     lap = grounded_laplacian(*_quotient(net, comp), cs, ct)
     if not lap.connected:
         raise DisconnectedError("host network never connects its terminals")
-    potentials = lap.potentials_exact()
+    potentials = lap.solve_exact({cs: 1})
     injected = {net.s: Fraction(1), net.t: Fraction(-1)}
     for e in net.edges:
         cu, cv = comp[e.u], comp[e.v]
@@ -305,7 +305,7 @@ def approx_positive_witness_reference(program: SpanProgram, x):
             injected[e.v] = injected.get(e.v, 0) + current
     energy = potentials[cs]
     for rep in dict.fromkeys(comp[v] for v, b in injected.items() if b):
-        phi = grounded_laplacian(sub.vertices, sub.edges, rep, rep).solve_exact(injected)
+        phi = grounded_laplacian(net.vertices, kept, rep, rep).solve_exact(injected)
         energy += sum(injected[v] * y for v, y in phi.items() if v in injected)
     return potentials[cs] / 2, energy / 2
 
@@ -323,15 +323,15 @@ def approx_negative_witness_reference(program: SpanProgram, x):
     one Dirichlet solve on the quotient grounded at C.
     """
     net = program.network
-    sub = subgraph(net, selector_from_assignment(net, x))
-    comp = components(sub)
+    kept = selector_from_assignment(net, x)
+    comp = _label(kept, net.vertices)
     cs, ct = comp[net.s], comp[net.t]
     if cs != ct:
         lap = grounded_laplacian(*_quotient(net, comp), cs, ct)
         if not lap.connected:
             return Fraction(0), Fraction(0)
-        return Fraction(0), 2 / lap.potentials_exact()[cs]
-    phi = grounded_laplacian(sub.vertices, sub.edges, net.s, net.t).potentials_exact()
+        return Fraction(0), 2 / lap.solve_exact({cs: 1})[cs]
+    phi = grounded_laplacian(net.vertices, kept, net.s, net.t).solve_exact({net.s: 1})
     resistance = phi[net.s]
     omega = {v: y / resistance for v, y in phi.items()}
     omega[net.t] = Fraction(0)

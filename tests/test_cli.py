@@ -217,6 +217,32 @@ def test_bounds_line_nonpositive_size_names_n(capsys, n):
     assert err == f"error: size n={n} must be at least 1\n"
 
 
+@pytest.mark.parametrize("h", ["0", "-1", "5"])
+def test_bounds_line_out_of_range_h_exits_one(capsys, h):
+    code, out, err = run(capsys, "bounds", "--family", "line", "--n", "4", "--h", h)
+    assert (code, out) == (1, "")
+    assert err == "error: need 1 <= h <= n\n"
+
+
+def test_bounds_line_h_defaults_to_isqrt_n(capsys):
+    assert run(capsys, "bounds", "--family", "line", "--n", "4") == \
+        run(capsys, "bounds", "--family", "line", "--n", "4", "--h", "2")
+
+
+@pytest.mark.parametrize("text, shown, position", [
+    ("x0", "token 'x0'", 0),
+    ("x1&x02", "token 'x02'", 3),
+    ("x1|xa", "character 'x'", 3),
+    ("x12x0x3", "token 'x0'", 3),
+    ("x1&x", "character 'x'", 3),
+    ("x1&$", "character '$'", 3),
+])
+def test_parse_names_the_whole_bad_token(capsys, text, shown, position):
+    code, out, err = run(capsys, "parse", "-f", text)
+    assert (code, out) == (1, "")
+    assert err == f"error: unexpected {shown} (at position {position})\n"
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
 def test_game_seed_out_of_range_names_seed(capsys, seed):
     code, out, err = run(capsys, "game", "-d", "2", "-x", "1111", "--seed", seed)

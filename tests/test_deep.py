@@ -79,7 +79,7 @@ def _cli_bytes(argv):
     return f"{code}|{out.getvalue()}".encode()
 
 
-GOLDEN_DIGEST = "58ca6f5cb210880e56407850b481dfb957fc9b832e38b15d7b58c74c08231824"
+GOLDEN_DIGEST = "ab4341f20f418aab495e30ef801bee6e77f403f929c3ba68e862c0235d89ab71"
 
 
 def _golden_digest():

@@ -26,6 +26,7 @@ from formulaflow import (
 )
 from formulaflow.errors import (
     AssignmentLengthError,
+    DomainTooLargeError,
     FormulaError,
     FormulaSyntaxError,
     PromiseMismatchError,
@@ -367,6 +368,20 @@ def test_enumerate_composed_domain_matches_membership():
 def test_every_composed_route_rejects_a_bad_level(call, level, shown):
     with pytest.raises(PromiseMismatchError, match=rf"^bad level {re.escape(shown)}$"):
         call([("or", 2, 1), list(level)])
+
+
+@pytest.mark.parametrize("levels", [
+    [("and", 99999999999999999999, 1)],
+    [("or", 2**10, 1), ("and", 2**11, 3)],
+])
+def test_count_refuses_more_leaves_than_the_cap_before_counting(levels):
+    with pytest.raises(DomainTooLargeError, match="more than 1048576 leaves"):
+        count_composed_domain(levels)
+
+
+def test_count_accepts_exactly_cap_many_leaves():
+    # 2^20 leaves; an all-or-nothing promise keeps two inputs
+    assert count_composed_domain([("and", 2**10, 2**10), ("or", 2**10, 2**10)]) == 2
 
 
 def test_composed_domain_levels_are_tuples():

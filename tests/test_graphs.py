@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from formulaflow import (
     DUAL,
     PARALLEL,
+    PRIMAL,
     SERIES,
     Edge,
     Network,
@@ -30,7 +31,7 @@ from formulaflow import (
 )
 from formulaflow import gate, leaf
 from formulaflow.electrical import terminals_connected
-from formulaflow.errors import LabelCollisionError
+from formulaflow.errors import AssignmentLengthError, LabelCollisionError
 from formulaflow.formula import AND, OR, fold
 from formulaflow.graphs import to_dot
 
@@ -343,6 +344,62 @@ def test_negated_labels_computed_once():
     net = formula_graph(parse_formula("~x1&(x2|~x3)"))
     assert net.negated_labels == {"x1", "x3"}
     assert net.negated_labels is net.negated_labels
+
+
+def _label_keyed_selection(net, x, polarity):
+    """The reference selection: a label-to-bit dict and the negated-label set."""
+    f = net.formula
+    if f is None:
+        bits = {e.label: int(b) for e, b in zip(net.edges, x)}
+        negated = set()
+    else:
+        bits = {f"x{f.first_var + i}": int(b) for i, b in enumerate(x)}
+        negated = {f"x{v}" for v in f.negated_vars()}
+    keep = 1 if polarity == PRIMAL else 0
+    return tuple(e for e in net.edges if bits[e.label] ^ (e.label in negated) == keep)
+
+
+def test_selector_matches_label_keyed_reference():
+    # random formulas with negated leaves on both hosts, a subformula network
+    # (first_var > 1) and a plain network read back from JSON
+    rng = np.random.default_rng(1717)
+    hosts = []
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        negated = {int(v) + 1 for v in rng.choice(n, size=n // 2, replace=False)}
+        f = _with_negations(random_formula(rng, n), negated)
+        hosts += [(formula_graph(f), PRIMAL), (dual_network(f), DUAL)]
+        part = f.children[-1]
+        assert part.first_var > 1
+        hosts += [(formula_graph(part), PRIMAL), (dual_network(part), DUAL)]
+    hosts.append((from_json(export(hosts[0][0])), PRIMAL))
+    for net, polarity in hosts:
+        m = len(net.edges) if net.formula is None else net.formula.n_vars
+        for x in all_inputs(m):
+            for side in (polarity, PRIMAL if polarity == DUAL else DUAL):
+                kept = selector_from_assignment(net, x, side)
+                assert kept == _label_keyed_selection(net, x, side)
+                assert all(any(e is h for h in net.edges) for e in kept)
+    net = hosts[0][0]
+    with pytest.raises(AssignmentLengthError):
+        selector_from_assignment(net, (1,) * (len(net.edges) + 1))
+    with pytest.raises(ValueError, match="unknown polarity 'sideways'"):
+        selector_from_assignment(net, (1,) * len(net.edges), "sideways")
+
+
+def test_selection_rejects_edges_that_do_not_match_the_formula():
+    net = Network(("s", "t"), "s", "t", (Edge("s", "t", "x0", Fraction(1)),),
+                  parse_formula("x1"))
+    with pytest.raises(ValueError, match="edges do not match the leaves"):
+        selector_from_assignment(net, "1")
+
+
+def test_subgraph_validates_the_kept_edges():
+    # a primal selection names endpoints the dual host does not have
+    f = parse_formula("~x1&(x2|x3)")
+    kept = selector_from_assignment(formula_graph(f), "011")
+    with pytest.raises(ValueError, match="unknown endpoint"):
+        subgraph(dual_network(f), kept)
 
 
 # ---------------------------------------------------------------------------
