@@ -173,6 +173,14 @@ class ExampleFamily:
     domain: DomainSpec
 
 
+def _check_class_count(classes: int) -> None:
+    """Refuse a family whose domain has more symmetry classes than
+    ``DOMAIN_CAP``, before any of its leaves is built."""
+    if classes > DOMAIN_CAP:
+        raise DomainTooLargeError(f"family domain has {classes} symmetry classes, more than "
+                                  f"the domain budget of {DOMAIN_CAP}")
+
+
 def _line_family(n: int, h: int | None) -> ExampleFamily:
     """Single path of n unit edges under the all-ones-or-few-ones promise;
     ``h`` defaults to isqrt(n)."""
@@ -182,6 +190,7 @@ def _line_family(n: int, h: int | None) -> ExampleFamily:
         h = math.isqrt(n)
     if not 1 <= h <= n:
         raise ValueError("need 1 <= h <= n")
+    _check_class_count(n - h + 2)
     f = gate("and", [leaf(i + 1) for i in range(n)]) if n > 1 else leaf(1)
     items = [(tuple([1] * n), 1)]
     total = 1
@@ -199,6 +208,7 @@ def _balloon_family(n: int) -> ExampleFamily:
     """A length-n path in series with an n-fold multi-edge of weight 1/n."""
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_class_count((n + 1) ** 2)
     path = [leaf(i + 1) for i in range(n)]
     bundle = gate("or", [leaf(n + i + 1) for i in range(n)])
     f = gate("and", path + [bundle])

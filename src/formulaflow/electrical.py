@@ -5,7 +5,11 @@ Three mutually cross-checking resistance routes work on the network:
 * ``exact-sp``   -- series/parallel reduction over exact rationals: one
   worklist eliminates every non-terminal vertex of degree <= 2 (parallel
   edges merge as they are inserted, so a degree counts neighbours),
-* ``laplacian``  -- float solve of the grounded weighted Laplacian,
+* ``laplacian``  -- float solve of the grounded weighted Laplacian by the
+  sparse elimination :func:`.linalg.solve_grounded_laplacian_float`: the
+  exact kernel's minimum-degree order in floats, with ground conductances
+  in place of diagonals (the tests keep a dense ``numpy.linalg.solve`` as
+  its oracle),
 * an exact rational solve of the same grounded Laplacian by the sparse
   minimum-degree kernel :func:`.linalg.solve_grounded_laplacian`, used by
   :func:`optimal_flow` and the span-program module (its exact witnesses and
@@ -37,8 +41,6 @@ import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import linalg
 from .errors import (
@@ -155,18 +157,13 @@ class GroundedLaplacian:
         return dict(zip(self.order, sol))
 
     def resistance_float(self) -> float:
-        """Float effective resistance by a dense ``numpy.linalg.solve``."""
+        """Float effective resistance: the source's potential under a unit
+        current, by the sparse float elimination
+        :func:`.linalg.solve_grounded_laplacian_float`."""
         n = len(self.order)
-        lap = np.zeros((n + 1, n + 1))  # the ground's row and column are dropped
-        for i, j, w in self.triplets:
-            w = float(w)
-            lap[i, i] += w
-            lap[j, j] += w
-            lap[i, j] -= w
-            lap[j, i] -= w
-        rhs = np.zeros(n)
+        rhs = [0.0] * n
         rhs[self.source] = 1.0
-        return float(np.linalg.solve(lap[:n, :n], rhs)[self.source])
+        return linalg.solve_grounded_laplacian_float(n, self.triplets, rhs)[self.source]
 
 
 def grounded_laplacian(vertices, edges, s, t) -> GroundedLaplacian:

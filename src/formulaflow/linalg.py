@@ -1,4 +1,5 @@
-"""Exact linear algebra over the rationals.
+"""Sparse grounded-Laplacian solves, exact and float, and exact dense
+linear algebra over the rationals.
 
 :func:`solve_grounded_laplacian`, the sparse kernel behind every exact
 Laplacian solve (unit currents, the injections and Dirichlet data of the
@@ -6,7 +7,11 @@ approximate-witness references), eliminates in minimum-degree order: on
 series-parallel networks (treewidth at most two) that adds no fill, so its
 cost grows about linearly.  It takes and returns ``fractions.Fraction``s but
 computes on reduced ``(numerator, denominator)`` int pairs, one ``math.gcd``
-per operation.  The dense Gauss-Jordan routines below it (:func:`rref`,
+per operation.  :func:`solve_grounded_laplacian_float`, the one float
+Laplacian solver, runs the same elimination in floats; both take their order
+from one lazy minimum-degree heap, :func:`_min_degree`.
+
+The dense Gauss-Jordan routines below them (:func:`rref`,
 :func:`solve_consistent`, :func:`nullspace` and :func:`lex_min_quadratics`)
 work in ``Fraction`` operators and no longer serve any production route:
 they are the tests' oracle for the kernel and for the approximate-witness
@@ -29,6 +34,24 @@ def _sub_mul(x, f, y) -> tuple:
     num = a * d * h - c * e * b
     g = math.gcd(num, den)
     return num // g, den // g
+
+
+def _min_degree(off):
+    """Yield the vertices of the rows ``off`` in minimum-degree order, from a
+    lazy heap.  Before asking for the next vertex the caller eliminates the
+    one it was given: it deletes ``k`` from each neighbour's row and adds the
+    fill among them, leaving ``off[k]`` itself as it was."""
+    heap = [(len(row), k) for k, row in enumerate(off)]
+    heapq.heapify(heap)
+    done = [False] * len(off)
+    while heap:
+        degree, k = heapq.heappop(heap)
+        if done[k] or degree != len(off[k]):
+            continue  # stale entry: a fresh one was pushed when the degree changed
+        done[k] = True
+        yield k
+        for a in off[k]:
+            heapq.heappush(heap, (len(off[a]), a))
 
 
 def solve_grounded_laplacian(n, edges, rhs):
@@ -64,15 +87,8 @@ def solve_grounded_laplacian(n, edges, rhs):
     diag = [(d, 1) for d in diag]
     off = [{j: (c, 1) for j, c in row.items()} for row in off]
     rhs = [(r.numerator, r.denominator) for r in rhs]
-    heap = [(len(row), k) for k, row in enumerate(off)]
-    heapq.heapify(heap)
-    done = [False] * n
     steps = []
-    while heap:
-        degree, k = heapq.heappop(heap)
-        if done[k] or degree != len(off[k]):
-            continue  # stale entry: a fresh one was pushed when the degree changed
-        done[k] = True
+    for k in _min_degree(off):
         (pn, pd), bk = diag[k], rhs[k]
         row = list(off[k].items())
         for a, (ln, ld) in row:
@@ -87,8 +103,6 @@ def solve_grounded_laplacian(n, edges, rhs):
             for b, lb in row:
                 if b != a:
                     adj[b] = _sub_mul(adj.get(b, (0, 1)), factor, lb)
-        for a, _la in row:
-            heapq.heappush(heap, (len(off[a]), a))
         steps.append((k, pn, pd, bk, row))
     x = [(0, 1)] * n
     for k, pn, pd, bk, row in reversed(steps):
@@ -98,6 +112,53 @@ def solve_grounded_laplacian(n, edges, rhs):
         g = math.gcd(sn * pd, sd * pn)
         x[k] = sn * pd // g, sd * pn // g
     return [Fraction(xn * scale, xd) for xn, xd in x]
+
+
+def solve_grounded_laplacian_float(n, edges, rhs):
+    """Float potentials of the system :func:`solve_grounded_laplacian` solves,
+    by the same minimum-degree elimination in floats, with no pivot search
+    and no dense fallback.
+
+    ``rhs`` holds the ``n`` currents as floats; each conductance is converted
+    once, by the correctly rounded ``w.numerator / w.denominator``.  Each
+    vertex carries its conductance to the ground ``g`` in place of its
+    diagonal entry: a pivot is ``g_k`` plus its row's magnitudes, and
+    eliminating ``k`` adds ``|l_ak| * g_k / pivot`` to ``g_a``.  No diagonal
+    is then a difference, so conductances many orders of magnitude apart lose
+    nothing to cancellation, as they would on an assembled diagonal.
+    """
+    ground = [0.0] * n  # each vertex's conductance to the ground
+    off = [{} for _ in range(n)]
+    for i, j, w in edges:
+        c = w.numerator / w.denominator
+        if j == n:
+            ground[i] += c
+        elif i == n:
+            ground[j] += c
+        else:
+            off[i][j] = off[i].get(j, 0.0) - c
+            off[j][i] = off[j].get(i, 0.0) - c
+    rhs = list(rhs)
+    steps = []
+    for k in _min_degree(off):
+        gk, bk = ground[k], rhs[k]
+        row = list(off[k].items())
+        pivot = gk - sum(off[k].values())
+        for a, la in row:
+            adj = off[a]
+            del adj[k]
+            factor = la / pivot
+            ground[a] -= factor * gk
+            if bk:
+                rhs[a] -= factor * bk
+            for b, lb in row:
+                if b != a:
+                    adj[b] = adj.get(b, 0.0) - factor * lb
+        steps.append((k, pivot, bk, row))
+    x = [0.0] * n
+    for k, pivot, bk, row in reversed(steps):
+        x[k] = (bk - sum(lk * x[j] for j, lk in row)) / pivot
+    return x
 
 
 def _clone(matrix):

@@ -7,7 +7,11 @@ Every solver works on the host edges that
 the definitional quadratic programs (positive: a grounded-Laplacian solve on
 the kept edges; negative: a potential minimization on the quotient by their
 components), so they can be cross-checked against the independent
-series-parallel reduction of the network and of its structural dual.
+series-parallel reduction of the network and of its structural dual.  They
+need no dense matrix: the program keeps each directed column's two vertex
+rows and sqrt(c), and the positive residual sums them with ``np.bincount``.
+The dense |V| x 2|E| span matrix is a cached property, built only by the
+approximate solvers and :func:`span_matrix`.
 
 Approximate witnesses minimize the error term first and the norm second; the
 production solver is a two-stage float least-squares.  Its exact reference
@@ -26,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -48,35 +53,49 @@ APPROX_NEGATIVE = "approx-negative"
 
 @dataclass(frozen=True, eq=False)
 class SpanProgram:
-    """Immutable span program for s-t connectivity on a host network."""
+    """Immutable span program for s-t connectivity on a host network.
+
+    Directed column ``k`` maps to ``roots[k] * (e_tails[k] - e_heads[k])``;
+    the dense :attr:`matrix` is built from that incidence at its first use.
+    """
 
     network: Network
     directed: tuple  # both orientations of every edge, in edge order
     vertex_index: dict
-    matrix: np.ndarray
+    tails: np.ndarray  # vertex row of each directed column's +sqrt(c)
+    heads: np.ndarray  # vertex row of its -sqrt(c)
+    roots: np.ndarray  # sqrt(c) of each directed column
     tau: np.ndarray
 
     @property
     def n_vars(self) -> int:
         return len(self.network.edges)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense |V| x 2|E| map."""
+        cols = np.arange(len(self.directed))
+        a = np.zeros((len(self.vertex_index), len(self.directed)))
+        a[self.tails, cols] = self.roots
+        a[self.heads, cols] = -self.roots
+        return a
+
 
 def build_span_program(net: Network) -> SpanProgram:
-    directed = []
-    for e in net.edges:
-        directed.append((e.u, e.v, e.label))
-        directed.append((e.v, e.u, e.label))
     index = {v: i for i, v in enumerate(net.vertices)}
-    weights = net.weight_map()
-    a = np.zeros((len(net.vertices), len(directed)))
-    for col, (u, v, label) in enumerate(directed):
-        root = math.sqrt(float(weights[label]))
-        a[index[u], col] = root
-        a[index[v], col] = -root
+    directed, tails, heads, roots = [], [], [], []
+    for e in net.edges:
+        root = math.sqrt(float(e.weight))
+        for u, v in ((e.u, e.v), (e.v, e.u)):
+            directed.append((u, v, e.label))
+            tails.append(index[u])
+            heads.append(index[v])
+            roots.append(root)
     tau = np.zeros(len(net.vertices))
     tau[index[net.s]] = 1.0
     tau[index[net.t]] = -1.0
-    return SpanProgram(net, tuple(directed), index, a, tau)
+    return SpanProgram(net, tuple(directed), index, np.array(tails, dtype=np.intp),
+                       np.array(heads, dtype=np.intp), np.array(roots), tau)
 
 
 def span_matrix(program: SpanProgram) -> np.ndarray:
@@ -127,8 +146,10 @@ def positive_witness(program: SpanProgram, x) -> WitnessReport:
             # theta = w * (p(u) - p(v)); int true division rounds correctly
             theta = w.numerator * (nu * dv - nv * du) / (w.denominator * du * dv)
             vec[col] = theta / (2.0 * math.sqrt(float(w)))
-    a = span_matrix(program)
-    residual = float(np.linalg.norm(a @ vec - target_vector(program)))
+    flow = program.roots * vec  # a @ vec, summed over each column's two vertex rows
+    rows = len(program.vertex_index)
+    image = np.bincount(program.tails, flow, rows) - np.bincount(program.heads, flow, rows)
+    residual = float(np.linalg.norm(image - target_vector(program)))
     size_float = lap.resistance_float() / 2.0  # independent float route
     return WitnessReport(POSITIVE, size, size_float, Fraction(0), vec, residual)
 

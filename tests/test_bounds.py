@@ -11,7 +11,8 @@ from formulaflow import (
     exponent_fit,
     verify_resistance_product,
 )
-from formulaflow.bounds import explicit_domain
+from formulaflow import bounds
+from formulaflow.bounds import _check_class_count, explicit_domain
 from formulaflow.errors import DomainTooLargeError
 
 
@@ -169,6 +170,27 @@ def test_three_level_product():
     rep = verify_resistance_product([("and", 2, 1), ("or", 2, 2), ("and", 2, 1)])
     assert rep.expected == Fraction(8, 2)  # prod N / prod h = (2*2*2)/(1*2*1)
     assert rep.equal
+
+
+def test_class_count_check_refuses_huge_families_alone():
+    # the balloon's (n + 1)^2 and the line's n - h + 2 classes at n = 10^11,
+    # checked without building either family
+    n = 10 ** 11
+    for classes in ((n + 1) ** 2, n - math.isqrt(n) + 2):
+        with pytest.raises(DomainTooLargeError, match="domain budget of 1048576"):
+            _check_class_count(classes)
+    _check_class_count(1 << 20)
+
+
+def test_families_check_their_class_count_first(monkeypatch):
+    monkeypatch.setattr(bounds, "DOMAIN_CAP", 10)
+    monkeypatch.setattr(bounds, "leaf", None)  # no leaf is built before the check
+    with pytest.raises(DomainTooLargeError, match="25 symmetry classes"):
+        example_family("balloon", n=4)
+    with pytest.raises(DomainTooLargeError, match="11 symmetry classes"):
+        example_family("line", n=12, h=3)
+    monkeypatch.undo()
+    assert len(example_family("balloon", n=4).domain.items) == 25
 
 
 def test_product_domain_cap():

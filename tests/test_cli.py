@@ -63,6 +63,19 @@ def test_resist_dual_and_float(capsys):
     assert abs(doc["resistance"] - 0.5) < 1e-12
 
 
+def test_float_routes_keep_a_dead_end_far_heavier_than_its_path(capsys, tmp_path):
+    # x1 (conductance ~2^53) hangs off s once x2 is absent, beside the unit
+    # edge x3 from s to t: an assembled diagonal rounds the unit conductance
+    # away against x1's, and a dense solve of it was singular
+    path = tmp_path / "w.json"
+    path.write_text('{"x1": "9007199187632128", "x2": "1", "x3": "1"}')
+    args = ("-f", "(x1&x2)|x3", "-x", "101", "--weights", str(path))
+    assert run(capsys, "resist", "--float", *args) == (0, "1.0\n", "")
+    code, out, _ = run(capsys, "witness", "--json", "--kind", "pos", *args)
+    assert code == 0
+    assert json.loads(out)["size_float"] == 0.5
+
+
 def test_graph_json_export(capsys):
     code, out, _ = run(capsys, "graph", "-f", "x1&x2", "--format", "json")
     doc = json.loads(out)

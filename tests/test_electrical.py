@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -44,6 +45,7 @@ from formulaflow import (
     witness_cut,
 )
 from formulaflow.electrical import (
+    _label,
     _parallel,
     _series,
     flow_from_directed,
@@ -54,6 +56,7 @@ from formulaflow.errors import DisconnectedError, NotSeriesParallelError, Search
 from formulaflow.formula import fold
 from formulaflow.graphs import Edge, Network
 from formulaflow.spanprog import (
+    _quotient,
     approx_negative_witness_reference,
     approx_positive_witness_reference,
     build_span_program,
@@ -673,9 +676,12 @@ def test_longest_path_disconnected_is_zero():
 # exact electrical layer against one golden digest
 # ---------------------------------------------------------------------------
 
-# recorded while the kernel, the reduction, the flows and the exact witnesses
-# still computed in ``Fraction`` operators
-ELECTRICAL_GOLDEN_DIGEST = "1f90dfb70d7f18fd5edfa37fa60eeceb3e7273a290856ab81519fed4eec181ac"
+# Every exact field: recorded at the commit before the float Laplacian became
+# a sparse elimination and the positive residual an incidence sum, with this
+# test code.  The two float fields, ``size_float`` and ``residual``, move in
+# their last bits with those routes, so they are checked against their
+# oracles in the next test instead of hashed.
+ELECTRICAL_GOLDEN_DIGEST = "39b34340ae55f2aed2565e49c2999fd4a43391536c836f7224ebdeca0d2667ea"
 
 
 def _golden_plain_hosts():
@@ -704,8 +710,42 @@ def _witness_key(vec):
     return None if vec is None else list(vec.items())
 
 
-def _electrical_golden_digest():
+def _dense_resistance(lap):
+    """The float resistance of a connected grounded Laplacian by a dense
+    ``numpy.linalg.solve``: the float route's oracle."""
+    n = len(lap.order)
+    dense = np.zeros((n + 1, n + 1))  # the ground's row and column are dropped
+    for i, j, w in lap.triplets:
+        w = float(w)
+        dense[i, i] += w
+        dense[j, j] += w
+        dense[i, j] -= w
+        dense[j, i] -= w
+    rhs = np.zeros(n)
+    rhs[lap.source] = 1.0
+    return float(np.linalg.solve(dense[:n, :n], rhs)[lap.source])
+
+
+def _dense_witness_float(host, x, kind):
+    """``size_float`` of an exact witness from the dense oracle: R / 2 of the
+    kept edges, or 2 / R of the quotient by their components."""
+    kept = selector_from_assignment(host, x)
+    if kind == "positive":
+        lap = grounded_laplacian(host.vertices, kept, host.s, host.t)
+        return _dense_resistance(lap) / 2 if lap.connected else math.inf
+    comp = _label(kept, host.vertices)
+    if comp[host.s] == comp[host.t]:
+        return math.inf
+    lap = grounded_laplacian(*_quotient(host, comp), comp[host.s], comp[host.t])
+    return 2 / _dense_resistance(lap) if lap.connected else 0.0
+
+
+@functools.cache
+def _electrical_golden_run():
+    """The digest of every exact result, and each exact witness's float
+    fields beside the dense oracle's ``size_float``."""
     digest = hashlib.sha256()
+    floats = []
 
     def put(*items):
         digest.update("|".join(map(repr, items)).encode())
@@ -736,19 +776,33 @@ def _electrical_golden_digest():
                 put("reduce_sp", "not series-parallel")
             if polarity == PRIMAL:
                 for report in (positive_witness(program, x), negative_witness(program, x)):
-                    put(report.kind, report.size, report.size_float, report.error,
-                        report.residual, _witness_key(report.witness))
+                    put(report.kind, report.size, report.error, _witness_key(report.witness))
+                    floats.append((label, x, report.size_float, report.residual,
+                                   _dense_witness_float(host, x, report.kind)))
                 put("references", approx_positive_witness_reference(program, x),
                     approx_negative_witness_reference(program, x))
-    return digest.hexdigest()
+    return digest.hexdigest(), floats
 
 
 def test_electrical_results_match_golden_digest():
     # the exact potentials of the kernel (unit current, random signed
     # currents), reduce_sp, optimal_flow with its dict order and energies,
-    # decompose_flow's pieces, the exact witnesses (sizes, size_float,
-    # residual, vector bytes, omega items) and the approximate-witness
-    # references on every input of a weighted Wheatstone bridge and K4, and on
-    # 24 inputs of each host (both polarities) of 40 random weighted formulas
-    # with negated leaves, N <= 9
-    assert _electrical_golden_digest() == ELECTRICAL_GOLDEN_DIGEST
+    # decompose_flow's pieces, the exact witnesses (sizes, errors, vector
+    # bytes, omega items) and the approximate-witness references on every
+    # input of a weighted Wheatstone bridge and K4, and on 24 inputs of each
+    # host (both polarities) of 40 random weighted formulas with negated
+    # leaves, N <= 9
+    assert _electrical_golden_run()[0] == ELECTRICAL_GOLDEN_DIGEST
+
+
+def test_golden_witness_float_fields_match_dense_oracle():
+    # the same witnesses' float fields: size_float against a dense solve of
+    # the same grounded Laplacian, and the residual of the witness object
+    floats = _electrical_golden_run()[1]
+    assert len(floats) > 1000
+    for label, x, size_float, residual, dense in floats:
+        if math.isinf(dense) or dense == 0:
+            assert size_float == dense, (label, x)
+        else:
+            assert abs(size_float - dense) <= 1e-12 * dense, (label, x)
+        assert residual <= 1e-9, (label, x)

@@ -1,15 +1,22 @@
 """The sparse grounded-Laplacian kernel against dense Gauss-Jordan elimination,
 for unit sources, zero-sum injections at several vertices, and Dirichlet data
-carried by the edges to the ground."""
+carried by the edges to the ground; and its float twin against a dense
+``numpy.linalg.solve`` and against the exact kernel."""
 
 import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from formulaflow.linalg import _sub_mul, solve_consistent, solve_grounded_laplacian
+from formulaflow.linalg import (
+    _sub_mul,
+    solve_consistent,
+    solve_grounded_laplacian,
+    solve_grounded_laplacian_float,
+)
 
 
 def dense_oracle(n, edges, rhs):
@@ -175,3 +182,81 @@ def test_kernel_leaves_its_right_hand_side_unchanged():
     kept = list(rhs)
     solve_grounded_laplacian(n, edges, rhs)
     assert rhs == kept
+
+
+# ---------------------------------------------------------------------------
+# the float elimination
+# ---------------------------------------------------------------------------
+
+def dense_float_laplacian(n, edges):
+    """The grounded Laplacian as a dense float matrix, each weight rounded
+    once, with the ground's row and column dropped."""
+    lap = np.zeros((n + 1, n + 1))
+    for i, j, w in edges:
+        w = float(w)
+        lap[i, i] += w
+        lap[j, j] += w
+        lap[i, j] -= w
+        lap[j, i] -= w
+    return lap[:n, :n]
+
+
+def float_unit(n, source):
+    return [float(k == source) for k in range(n)]
+
+
+def dense_gap(n, edges, source):
+    """Largest gap between the float elimination's potentials and a dense
+    ``numpy.linalg.solve`` of the same system, relative to the largest
+    potential."""
+    rhs = float_unit(n, source)
+    dense = np.linalg.solve(dense_float_laplacian(n, edges), rhs)
+    sparse = np.array(solve_grounded_laplacian_float(n, edges, rhs))
+    return float(np.max(np.abs(sparse - dense)) / np.max(np.abs(dense)))
+
+
+# the weighted Wheatstone bridge and K4 between s and t of
+# tests/test_electrical.py: s = 0, a = 1, b = 2, c = 3, d = 4, t the ground
+WEIGHTED_HOSTS = {
+    "weighted-wheatstone": (3, [(0, 1, Fraction(1)), (0, 2, Fraction(2)),
+                                (1, 2, Fraction(1, 3)), (1, 3, Fraction(3)),
+                                (2, 3, Fraction(5, 2))]),
+    "weighted-k4": (5, [(0, 1, Fraction(2, 3)), (1, 2, Fraction(1)), (1, 3, Fraction(2)),
+                        (1, 4, Fraction(3)), (2, 3, Fraction(1, 4)), (2, 4, Fraction(5)),
+                        (3, 4, Fraction(7)), (4, 5, Fraction(1))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_SERIES_PARALLEL | WEIGHTED_HOSTS))
+def test_float_kernel_matches_dense_solve_on_non_series_parallel_graphs(name):
+    n, edges = (NON_SERIES_PARALLEL | WEIGHTED_HOSTS)[name]
+    for source in range(n):
+        assert dense_gap(n, edges, source) <= 1e-12
+
+
+@given(connected_graphs())
+@settings(max_examples=300, deadline=None)
+def test_float_kernel_matches_dense_solve_on_random_graphs(graph):
+    # parallel edges, and graphs that are not series-parallel and need fill-in
+    n, edges, source = graph
+    assert dense_gap(n, edges, source) <= 1e-12
+
+
+@given(connected_graphs(st.builds(Fraction, big, big)))
+@settings(max_examples=300, deadline=None)
+@example((2, [(0, 2, Fraction(1)), (0, 1, Fraction(9007199187632128))], 0))
+def test_float_kernel_matches_both_oracles_with_large_weights(graph):
+    # Conductances up to 10^60 apart.  The elimination carries ground
+    # conductances, so every potential stays within 1e-12 of the exact
+    # kernel's.  The dense solve rounds a small conductance away where it
+    # joins a large one on the diagonal (the example above: a dead end of
+    # conductance ~2^53 beside a unit edge to the ground); it stays the
+    # oracle where its own error bound, the condition number times the unit
+    # roundoff, is below the tolerance.
+    n, edges, source = graph
+    exact = solve_grounded_laplacian(n, edges, unit(n, source))
+    sparse = solve_grounded_laplacian_float(n, edges, float_unit(n, source))
+    for x, y in zip(sparse, exact):
+        assert abs(x - y) <= 1e-12 * y
+    if np.linalg.cond(dense_float_laplacian(n, edges)) < 1e3:
+        assert dense_gap(n, edges, source) <= 1e-12

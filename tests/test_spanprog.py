@@ -103,6 +103,40 @@ def test_target_in_column_space_iff_connected():
     assert np.linalg.norm(a @ sol - tau) < 1e-12
 
 
+def eager_span_matrix(net):
+    """The span matrix filled column by column from the weight map."""
+    index = {v: i for i, v in enumerate(net.vertices)}
+    weights = net.weight_map()
+    directed = [d for e in net.edges for d in ((e.u, e.v, e.label), (e.v, e.u, e.label))]
+    a = np.zeros((len(net.vertices), len(directed)))
+    for col, (u, v, label) in enumerate(directed):
+        root = math.sqrt(float(weights[label]))
+        a[index[u], col] = root
+        a[index[v], col] = -root
+    return a
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_routes_build_no_span_matrix(seed):
+    # the formula host and its exported copy, which has no formula, so that
+    # witness_extrema solves every input by the exact witnesses
+    rng = np.random.default_rng(seed)
+    n = 1 + 3 * seed
+    f = random_formula(rng, n) if n > 1 else leaf(1)
+    host = formula_graph(f, random_weights(rng, n))
+    for net in (host, from_json(export(host))):
+        program = build_span_program(net)
+        for x in all_inputs(n):
+            positive_witness(program, x)
+            negative_witness(program, x)
+            approx_positive_witness_reference(program, x)
+            approx_negative_witness_reference(program, x)
+        witness_extrema(program, list(all_inputs(n)), f, include_approx=False)
+        assert "matrix" not in vars(program)
+        approx_positive_witness(program, (1,) * n)
+        assert program.matrix.tobytes() == eager_span_matrix(net).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # exact witnesses
 # ---------------------------------------------------------------------------
