@@ -191,6 +191,9 @@ def _line_family(n: int, h: int | None) -> ExampleFamily:
     if not 1 <= h <= n:
         raise ValueError("need 1 <= h <= n")
     _check_class_count(n - h + 2)
+    if n > DOMAIN_CAP:  # the leaf budget of count_composed_domain
+        raise DomainTooLargeError(f"line family has {n} leaves, more than the domain "
+                                  f"budget of {DOMAIN_CAP}")
     f = gate("and", [leaf(i + 1) for i in range(n)]) if n > 1 else leaf(1)
     items = [(tuple([1] * n), 1)]
     total = 1

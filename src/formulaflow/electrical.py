@@ -80,10 +80,6 @@ def _label(edges, starts) -> dict:
     return rep
 
 
-def component_of(net: Network, start: str) -> set:
-    return set(_label(net.edges, (start,)))
-
-
 def terminals_connected(net: Network) -> bool:
     return net.t in _label(net.edges, (net.s,))
 

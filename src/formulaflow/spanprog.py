@@ -10,11 +10,15 @@ components), so they can be cross-checked against the independent
 series-parallel reduction of the network and of its structural dual.  They
 need no dense matrix: the program keeps each directed column's two vertex
 rows and sqrt(c), and the positive residual sums them with ``np.bincount``.
-The dense |V| x 2|E| span matrix is a cached property, built only by the
+The dense |V| x 2|E| span matrix A is a cached property, built only by the
 approximate solvers and :func:`span_matrix`.
 
 Approximate witnesses minimize the error term first and the norm second; the
-production solver is a two-stage float least-squares.  Its exact reference
+production solver is one two-stage float least-squares over the rows of one
+matrix, the identity on the positive side and A^T on the negative.  Its
+factors that do not depend on the input (the start vectors and bases, A^T
+and its spectral norm, the host's connectivity) are cached properties of the
+program, computed at its first approximate solve.  Its exact reference
 uses the closed form of Ito and Jeffery ("Approximate span programs", ICALP
 2016, arXiv:1507.00432): the least positive error on a 0-input is 1/w-(x) and
 the least negative error on a 1-input is 1/w+(x).  Each reference is a few
@@ -34,12 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .electrical import (
-    _label,
-    component_of,
-    formula_resistance,
-    grounded_laplacian,
-)
+from .electrical import _label, formula_resistance, grounded_laplacian, terminals_connected
 from .errors import DisconnectedError
 from .extended import INF, as_float
 from .formula import AND, Formula, as_bits, eval_formula, side_maxima
@@ -56,7 +55,8 @@ class SpanProgram:
     """Immutable span program for s-t connectivity on a host network.
 
     Directed column ``k`` maps to ``roots[k] * (e_tails[k] - e_heads[k])``;
-    the dense :attr:`matrix` is built from that incidence at its first use.
+    the dense :attr:`matrix` is built from that incidence at its first use,
+    and the approximate solvers' factors below at the first approximate solve.
     """
 
     network: Network
@@ -67,10 +67,6 @@ class SpanProgram:
     roots: np.ndarray  # sqrt(c) of each directed column
     tau: np.ndarray
 
-    @property
-    def n_vars(self) -> int:
-        return len(self.network.edges)
-
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense |V| x 2|E| map."""
@@ -79,6 +75,39 @@ class SpanProgram:
         a[self.tails, cols] = self.roots
         a[self.heads, cols] = -self.roots
         return a
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether the host joins its terminals."""
+        return terminals_connected(self.network)
+
+    @cached_property
+    def w0(self) -> np.ndarray:
+        """The least-norm solution of A w = tau."""
+        return np.linalg.lstsq(self.matrix, self.tau, rcond=None)[0]
+
+    @cached_property
+    def null_basis(self) -> np.ndarray:
+        """An orthonormal basis of the null space of A, on a connected host."""
+        _u, s, vt = np.linalg.svd(self.matrix, full_matrices=True)
+        return vt[int((s > 1e-10 * s[0]).sum()):].T
+
+    @cached_property
+    def e_s(self) -> np.ndarray:
+        """The functional 1 at s and 0 elsewhere, so omega(tau) = 1."""
+        return (self.tau > 0).astype(float)
+
+    @cached_property
+    def level_basis(self) -> np.ndarray:
+        """An orthonormal basis of the functionals with omega(s) = omega(t):
+        e_v for each other vertex in vertex order, then (e_s + e_t) / sqrt 2."""
+        return np.column_stack([np.eye(len(self.tau))[:, self.tau == 0],
+                                np.abs(self.tau) / math.sqrt(2.0)])
+
+    @cached_property
+    def matrix_t(self) -> tuple:
+        """A^T, the map from vertex functionals to columns, and its spectral norm."""
+        return self.matrix.T, max(float(np.linalg.norm(self.matrix.T, 2)), 1e-300)
 
 
 def build_span_program(net: Network) -> SpanProgram:
@@ -199,37 +228,38 @@ def negative_witness(program: SpanProgram, x) -> WitnessReport:
 # approximate witnesses
 # ---------------------------------------------------------------------------
 
-def _null_space_float(m: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    if m.size == 0:
-        return np.eye(m.shape[1])
-    u, s, vt = np.linalg.svd(m, full_matrices=True)
-    if s.size == 0 or s[0] == 0:
-        rank = 0
-    else:
-        rank = int((s > rtol * s[0]).sum())
-    return vt[rank:].T
+def _columns(program: SpanProgram, x, present: bool) -> list:
+    """The directed columns of the edges that ``x`` keeps (present) or drops."""
+    kept = {e.label for e in selector_from_assignment(program.network, x)}
+    return [i for i, (_u, _v, label) in enumerate(program.directed)
+            if (label in kept) == present]
 
 
-def _nested_lstsq_float(stages, v0: np.ndarray, basis: np.ndarray,
-                        tol: float = 1e-9) -> np.ndarray:
-    """Sequentially minimize ||M v|| over v = v0 + basis @ z, stage by stage.
+def _two_stage(v0: np.ndarray, basis: np.ndarray, rows: list, m=None,
+               m_norm: float = 1.0, tol: float = 1e-9) -> np.ndarray:
+    """Minimize ||M[rows] v||, then ||M v||, over v = v0 + basis @ z.
 
-    ``basis`` must have orthonormal columns.  Rank decisions are anchored to
-    each stage matrix's own spectral norm: directions whose image under the
-    stage is below tol * ||M|| are treated as exactly null, which keeps a
-    later stage from riding a numerically-null direction of an earlier one
-    with an enormous coefficient.
+    ``basis`` has orthonormal columns; ``m`` None is the identity, whose rows
+    are read off ``v0`` and ``basis``.  Each stage's rank decision is
+    anchored to its matrix's spectral norm (``m_norm`` for all of ``m``):
+    directions whose image is below tol * ||M|| count as exactly null, so the
+    second stage cannot ride a numerically-null direction of the first with
+    an enormous coefficient.  The identity's anchor is the constant 1.0:
+    distinct identity rows are orthonormal, so each non-empty set of them has
+    spectral norm 1, which LAPACK's SVD returns as exactly 1.0.
     """
-    for m in stages:
-        if basis.shape[1] == 0 or m.size == 0:
+    for stage in (rows, slice(None)):
+        sub = None if m is None else m[stage]
+        c, image = (basis[stage], v0[stage]) if sub is None else (sub @ basis, sub @ v0)
+        if c.size == 0:
             continue
-        c = m @ basis
-        d = -(m @ v0)
+        anchor = m_norm
+        if sub is not None and stage is rows:
+            anchor = max(float(np.linalg.norm(sub, 2)), 1e-300)
         u, s, vt = np.linalg.svd(c, full_matrices=True)
-        anchor = max(float(np.linalg.norm(m, 2)), 1e-300)
-        rank = int((s > tol * anchor).sum()) if s.size else 0
+        rank = int((s > tol * anchor).sum())
         if rank:
-            z = vt[:rank].T @ ((u[:, :rank].T @ d) / s[:rank])
+            z = vt[:rank].T @ ((u[:, :rank].T @ -image) / s[:rank])
             v0 = v0 + basis @ z
         basis = basis @ vt[rank:].T
     return v0
@@ -241,54 +271,24 @@ def approx_positive_witness(program: SpanProgram, x) -> WitnessReport:
     Requires the host to connect its terminals (otherwise the target is
     unreachable and no approximate witness exists).
     """
-    net = program.network
-    if net.t not in component_of(net, net.s):
+    if not program.connected:
         raise DisconnectedError("host network never connects its terminals")
-    a = span_matrix(program)
-    tau = target_vector(program)
-    present = {e.label for e in selector_from_assignment(net, x)}
-    absent = [i for i, (u, v, label) in enumerate(program.directed)
-              if label not in present]
-    w0, *_ = np.linalg.lstsq(a, tau, rcond=None)
-    basis = _null_space_float(a)
-    mask = np.zeros((len(absent), len(program.directed)))
-    for row, col in enumerate(absent):
-        mask[row, col] = 1.0
-    vec = _nested_lstsq_float([mask, np.eye(len(program.directed))], w0, basis)
+    absent = _columns(program, x, False)
+    vec = _two_stage(program.w0, program.null_basis, absent)
     err = float(vec[absent] @ vec[absent])
     size = float(vec @ vec)
-    residual = float(np.linalg.norm(a @ vec - tau))
+    residual = float(np.linalg.norm(program.matrix @ vec - program.tau))
     return WitnessReport(APPROX_POSITIVE, size, size, err, vec, residual)
 
 
 def approx_negative_witness(program: SpanProgram, x) -> WitnessReport:
     """Two-stage solve over vertex functionals with omega(tau) = 1."""
-    net = program.network
-    a = span_matrix(program)
-    present = {e.label for e in selector_from_assignment(net, x)}
-    present_cols = [i for i, (u, v, label) in enumerate(program.directed)
-                    if label in present]
-    n = len(net.vertices)
-    v0 = np.zeros(n)
-    v0[program.vertex_index[net.s]] = 1.0
-    cols = []
-    for v in net.vertices:
-        if v in (net.s, net.t):
-            continue
-        e = np.zeros(n)
-        e[program.vertex_index[v]] = 1.0
-        cols.append(e)
-    both = np.zeros(n)
-    both[program.vertex_index[net.s]] = 1.0 / math.sqrt(2.0)
-    both[program.vertex_index[net.t]] = 1.0 / math.sqrt(2.0)
-    cols.append(both)
-    basis = np.stack(cols, axis=1)
-    m1 = a[:, present_cols].T
-    m2 = a.T
-    vec = _nested_lstsq_float([m1, m2], v0, basis)
-    err = float(np.linalg.norm(m1 @ vec) ** 2)
-    size = float(np.linalg.norm(m2 @ vec) ** 2)
-    omega = {v: float(vec[program.vertex_index[v]]) for v in net.vertices}
+    present = _columns(program, x, True)
+    a_t, norm = program.matrix_t
+    vec = _two_stage(program.e_s, program.level_basis, present, a_t, norm)
+    err = float(np.linalg.norm(a_t[present] @ vec) ** 2)
+    size = float(np.linalg.norm(a_t @ vec) ** 2)
+    omega = {v: float(vec[i]) for v, i in program.vertex_index.items()}
     return WitnessReport(APPROX_NEGATIVE, size, size, err, omega, 0.0)
 
 

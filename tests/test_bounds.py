@@ -193,6 +193,17 @@ def test_families_check_their_class_count_first(monkeypatch):
     assert len(example_family("balloon", n=4).domain.items) == 25
 
 
+def test_line_family_checks_its_leaf_count_before_building(monkeypatch):
+    # h = n leaves 2 classes, inside the budget, but n leaves past it
+    monkeypatch.setattr(bounds, "DOMAIN_CAP", 10)
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "leaf", None)  # no leaf is built before the check
+        with pytest.raises(DomainTooLargeError,
+                           match="line family has 11 leaves, more than the domain budget of 10"):
+            example_family("line", n=11, h=11)
+    assert example_family("line", n=10, h=10).formula.n_vars == 10
+
+
 def test_product_domain_cap():
     with pytest.raises(DomainTooLargeError):
         verify_resistance_product([("and", 2, 1)] * 12)

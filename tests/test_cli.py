@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from formulaflow import bounds
 from formulaflow.cli import main
 
 
@@ -235,6 +236,15 @@ def test_bounds_line_out_of_range_h_exits_one(capsys, h):
     code, out, err = run(capsys, "bounds", "--family", "line", "--n", "4", "--h", h)
     assert (code, out) == (1, "")
     assert err == "error: need 1 <= h <= n\n"
+
+
+def test_bounds_line_past_the_leaf_budget_exits_one(capsys, monkeypatch):
+    # the check alone: a budget of 10 stands in for 2^20, and no leaf is built
+    monkeypatch.setattr(bounds, "DOMAIN_CAP", 10)
+    monkeypatch.setattr(bounds, "leaf", None)
+    code, out, err = run(capsys, "bounds", "--family", "line", "--n", "11", "--h", "11")
+    assert (code, out) == (1, "")
+    assert err == "error: line family has 11 leaves, more than the domain budget of 10\n"
 
 
 def test_bounds_line_h_defaults_to_isqrt_n(capsys):

@@ -116,6 +116,10 @@ def eager_span_matrix(net):
     return a
 
 
+# the span matrix and the approximate solvers' input-independent factors
+LAZY_FACTORS = ("matrix", "connected", "w0", "null_basis", "e_s", "level_basis", "matrix_t")
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_exact_routes_build_no_span_matrix(seed):
     # the formula host and its exported copy, which has no formula, so that
@@ -132,9 +136,14 @@ def test_exact_routes_build_no_span_matrix(seed):
             approx_positive_witness_reference(program, x)
             approx_negative_witness_reference(program, x)
         witness_extrema(program, list(all_inputs(n)), f, include_approx=False)
-        assert "matrix" not in vars(program)
+        assert not set(LAZY_FACTORS) & set(vars(program))
         approx_positive_witness(program, (1,) * n)
+        approx_negative_witness(program, (0,) * n)
         assert program.matrix.tobytes() == eager_span_matrix(net).tobytes()
+        first = {name: vars(program)[name] for name in LAZY_FACTORS}
+        approx_positive_witness(program, (0,) * n)
+        approx_negative_witness(program, (1,) * n)
+        assert all(vars(program)[name] is value for name, value in first.items())
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +342,95 @@ def test_approx_matches_exact_reference():
             assert abs(pos.size - float(size_p)) < 1e-7
             assert abs(neg.error - float(err_n)) < 1e-7
             assert abs(neg.size - float(size_n)) < 1e-7
+
+
+def dense_null_space(m, rtol=1e-10):
+    if m.size == 0:
+        return np.eye(m.shape[1])
+    u, s, vt = np.linalg.svd(m, full_matrices=True)
+    rank = int((s > rtol * s[0]).sum()) if s.size and s[0] != 0 else 0
+    return vt[rank:].T
+
+
+def dense_nested_lstsq(stages, v0, basis, tol=1e-9):
+    """The generic stage routine: minimize ||M v|| over v = v0 + basis @ z for
+    each dense stage matrix M in turn, anchoring its rank decision to the
+    spectral norm of M taken afresh."""
+    for m in stages:
+        if basis.shape[1] == 0 or m.size == 0:
+            continue
+        c = m @ basis
+        d = -(m @ v0)
+        u, s, vt = np.linalg.svd(c, full_matrices=True)
+        anchor = max(float(np.linalg.norm(m, 2)), 1e-300)
+        rank = int((s > tol * anchor).sum()) if s.size else 0
+        if rank:
+            z = vt[:rank].T @ ((u[:, :rank].T @ d) / s[:rank])
+            v0 = v0 + basis @ z
+        basis = basis @ vt[rank:].T
+    return v0
+
+
+def dense_approx_reports(program, x, w0, null):
+    """Both approximate solves with every stage matrix rebuilt for the input:
+    the 0/1 mask of the absent columns and np.eye on the positive side (from
+    A's least-norm solution ``w0`` and null-space basis ``null``), the present
+    columns of A^T and A^T on the negative side."""
+    net = program.network
+    a, tau = span_matrix(program), target_vector(program)
+    present = {e.label for e in selector_from_assignment(net, x)}
+    absent = [i for i, (_u, _v, label) in enumerate(program.directed) if label not in present]
+    present_cols = [i for i, (_u, _v, label) in enumerate(program.directed) if label in present]
+    mask = np.zeros((len(absent), len(program.directed)))
+    mask[np.arange(len(absent)), absent] = 1.0
+    vec = dense_nested_lstsq([mask, np.eye(len(program.directed))], w0, null)
+    pos = (float(vec[absent] @ vec[absent]), float(vec @ vec), vec,
+           float(np.linalg.norm(a @ vec - tau)))
+    idx = program.vertex_index
+    inner = [idx[v] for v in net.vertices if v not in (net.s, net.t)]
+    basis = np.zeros((len(idx), len(inner) + 1))
+    basis[inner, np.arange(len(inner))] = 1.0
+    basis[[idx[net.s], idx[net.t]], -1] = 1.0 / math.sqrt(2.0)
+    v0 = np.zeros(len(idx))
+    v0[idx[net.s]] = 1.0
+    m1 = a[:, present_cols].T
+    omega = dense_nested_lstsq([m1, a.T], v0, basis)
+    neg = (float(np.linalg.norm(m1 @ omega) ** 2), float(np.linalg.norm(a.T @ omega) ** 2),
+           {v: float(omega[idx[v]]) for v in net.vertices}, 0.0)
+    return pos, neg
+
+
+def report_bytes(error, size, witness, residual):
+    body = witness.tobytes() if isinstance(witness, np.ndarray) else repr(witness).encode()
+    return f"{error!r}|{size!r}|{residual!r}|".encode() + body
+
+
+def dense_stage_hosts():
+    rng = np.random.default_rng(2020)
+    for _ in range(15):
+        f, weights = weighted_negated(rng, int(rng.integers(1, 9)))
+        yield f, formula_graph(f, weights)
+        yield f, dual_network(f, weights)
+    tree = build_nand_tree(4)
+    yield tree, formula_graph(tree)
+
+
+def test_approx_solvers_match_dense_stage_oracle():
+    # byte-equal reports against the per-input dense stage matrices on every
+    # input of 30 weighted hosts (N <= 8, a third of the leaves negated, each
+    # formula's network and its dual) and of the NAND tree of depth 4
+    for f, net in dense_stage_hosts():
+        program = build_span_program(net)
+        a = span_matrix(program)
+        w0, null = np.linalg.lstsq(a, target_vector(program), rcond=None)[0], dense_null_space(a)
+        for x in all_inputs(f.n_vars):
+            pos, neg = approx_positive_witness(program, x), approx_negative_witness(program, x)
+            want_pos, want_neg = dense_approx_reports(program, x, w0, null)
+            assert pos.size == pos.size_float
+            assert report_bytes(pos.error, pos.size, pos.witness, pos.residual) == \
+                report_bytes(*want_pos)
+            assert report_bytes(neg.error, neg.size, neg.witness, neg.residual) == \
+                report_bytes(*want_neg)
 
 
 # ---------------------------------------------------------------------------
