@@ -8,8 +8,8 @@ Three mutually cross-checking resistance routes work on the network:
 * ``laplacian``  -- float solve of the grounded weighted Laplacian by the
   sparse elimination :func:`.linalg.solve_grounded_laplacian_float`: the
   exact kernel's minimum-degree order in floats, with ground conductances
-  in place of diagonals (the tests keep a dense ``numpy.linalg.solve`` as
-  its oracle),
+  in place of diagonals, which also serves the approximate span-program
+  witnesses (the tests keep a dense ``numpy.linalg.solve`` as its oracle),
 * an exact rational solve of the same grounded Laplacian by the sparse
   minimum-degree kernel :func:`.linalg.solve_grounded_laplacian`, used by
   :func:`optimal_flow` and the span-program module (its exact witnesses and
@@ -152,20 +152,24 @@ class GroundedLaplacian:
         sol = linalg.solve_grounded_laplacian(len(self.order), self.triplets, rhs)
         return dict(zip(self.order, sol))
 
+    def solve_float(self, currents: dict) -> dict:
+        """Float potentials for the injected ``currents``, keyed by ``order``,
+        by :func:`.linalg.solve_grounded_laplacian_float`."""
+        rhs = [currents.get(v, 0.0) for v in self.order]
+        sol = linalg.solve_grounded_laplacian_float(len(self.order), self.triplets, rhs)
+        return dict(zip(self.order, sol))
+
     def resistance_float(self) -> float:
         """Float effective resistance: the source's potential under a unit
-        current, by the sparse float elimination
-        :func:`.linalg.solve_grounded_laplacian_float`."""
-        n = len(self.order)
-        rhs = [0.0] * n
-        rhs[self.source] = 1.0
-        return linalg.solve_grounded_laplacian_float(n, self.triplets, rhs)[self.source]
+        current."""
+        source = self.order[self.source]
+        return self.solve_float({source: 1.0})[source]
 
 
 def grounded_laplacian(vertices, edges, s, t) -> GroundedLaplacian:
     """The Laplacian of the component of ``s`` grounded at ``t``, over
     ``vertices`` and the ``edges`` among them.  With ``s == t`` it is the
-    component of the ground, for :meth:`GroundedLaplacian.solve_exact`."""
+    component of the ground, for the solves of :class:`GroundedLaplacian`."""
     comp = set(_label(edges, (s,)))
     order = [v for v in vertices if v in comp and v != t]
     index = {v: i for i, v in enumerate(order)}

@@ -40,8 +40,11 @@ def _min_degree(off):
     """Yield the vertices of the rows ``off`` in minimum-degree order, from a
     lazy heap.  Before asking for the next vertex the caller eliminates the
     one it was given: it deletes ``k`` from each neighbour's row and adds the
-    fill among them, leaving ``off[k]`` itself as it was."""
-    heap = [(len(row), k) for k, row in enumerate(off)]
+    fill among them, leaving ``off[k]`` itself as it was.  A neighbour is
+    pushed again only when its degree differs from its last push; an entry
+    it already has carries the same key, so the order is the same."""
+    pushed = [len(row) for row in off]  # each vertex's degree at its last push
+    heap = list(zip(pushed, range(len(off))))
     heapq.heapify(heap)
     done = [False] * len(off)
     while heap:
@@ -51,7 +54,9 @@ def _min_degree(off):
         done[k] = True
         yield k
         for a in off[k]:
-            heapq.heappush(heap, (len(off[a]), a))
+            if len(off[a]) != pushed[a]:
+                pushed[a] = len(off[a])
+                heapq.heappush(heap, (pushed[a], a))
 
 
 def solve_grounded_laplacian(n, edges, rhs):

@@ -7,25 +7,22 @@ Every solver works on the host edges that
 the definitional quadratic programs (positive: a grounded-Laplacian solve on
 the kept edges; negative: a potential minimization on the quotient by their
 components), so they can be cross-checked against the independent
-series-parallel reduction of the network and of its structural dual.  They
-need no dense matrix: the program keeps each directed column's two vertex
-rows and sqrt(c), and the positive residual sums them with ``np.bincount``.
-The dense |V| x 2|E| span matrix A is a cached property, built only by the
-approximate solvers and :func:`span_matrix`.
+series-parallel reduction of the network and of its structural dual.  No
+solver needs a dense matrix: the program keeps each directed column's two
+vertex rows and sqrt(c), and a positive residual sums them with
+``np.bincount``; the dense |V| x 2|E| span matrix A is a cached property
+that only :func:`span_matrix` builds.
 
-Approximate witnesses minimize the error term first and the norm second; the
-production solver is one two-stage float least-squares over the rows of one
-matrix, the identity on the positive side and A^T on the negative.  Its
-factors that do not depend on the input (the start vectors and bases, A^T
-and its spectral norm, the host's connectivity) are cached properties of the
-program, computed at its first approximate solve.  Its exact reference
-uses the closed form of Ito and Jeffery ("Approximate span programs", ICALP
-2016, arXiv:1507.00432): the least positive error on a 0-input is 1/w-(x) and
-the least negative error on a 1-input is 1/w+(x).  Each reference is a few
-sparse exact solves of :func:`.linalg.solve_grounded_laplacian` (a quotient
-or component unit current, then grounded solves for the second stage), a
-method independent of the float SVD route; the dense lexicographic program
-over the same nested objectives stays in the tests as their oracle.
+Approximate witnesses minimize the error term first and the norm second, by
+the closed form of Ito and Jeffery ("Approximate span programs", ICALP 2016,
+arXiv:1507.00432): the least positive error on a 0-input is 1/w-(x) and the
+least negative error on a 1-input is 1/w+(x).  So each is at most two
+grounded Laplacian solves (a quotient or component unit current, then one
+solve for the second stage over the components, each grounded), written
+once per side and run in floats by :meth:`.GroundedLaplacian.solve_float`
+for the solvers and in rationals by ``solve_exact`` for their exact
+references.  The dense two-stage least squares over the same nested
+objectives stays in the tests as their oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .electrical import _label, formula_resistance, grounded_laplacian, terminals_connected
+from .electrical import GroundedLaplacian, _label, formula_resistance, grounded_laplacian
 from .errors import DisconnectedError
 from .extended import INF, as_float
 from .formula import AND, Formula, as_bits, eval_formula, side_maxima
@@ -56,7 +53,7 @@ class SpanProgram:
 
     Directed column ``k`` maps to ``roots[k] * (e_tails[k] - e_heads[k])``;
     the dense :attr:`matrix` is built from that incidence at its first use,
-    and the approximate solvers' factors below at the first approximate solve.
+    which only :func:`span_matrix` makes.
     """
 
     network: Network
@@ -75,39 +72,6 @@ class SpanProgram:
         a[self.tails, cols] = self.roots
         a[self.heads, cols] = -self.roots
         return a
-
-    @cached_property
-    def connected(self) -> bool:
-        """Whether the host joins its terminals."""
-        return terminals_connected(self.network)
-
-    @cached_property
-    def w0(self) -> np.ndarray:
-        """The least-norm solution of A w = tau."""
-        return np.linalg.lstsq(self.matrix, self.tau, rcond=None)[0]
-
-    @cached_property
-    def null_basis(self) -> np.ndarray:
-        """An orthonormal basis of the null space of A, on a connected host."""
-        _u, s, vt = np.linalg.svd(self.matrix, full_matrices=True)
-        return vt[int((s > 1e-10 * s[0]).sum()):].T
-
-    @cached_property
-    def e_s(self) -> np.ndarray:
-        """The functional 1 at s and 0 elsewhere, so omega(tau) = 1."""
-        return (self.tau > 0).astype(float)
-
-    @cached_property
-    def level_basis(self) -> np.ndarray:
-        """An orthonormal basis of the functionals with omega(s) = omega(t):
-        e_v for each other vertex in vertex order, then (e_s + e_t) / sqrt 2."""
-        return np.column_stack([np.eye(len(self.tau))[:, self.tau == 0],
-                                np.abs(self.tau) / math.sqrt(2.0)])
-
-    @cached_property
-    def matrix_t(self) -> tuple:
-        """A^T, the map from vertex functionals to columns, and its spectral norm."""
-        return self.matrix.T, max(float(np.linalg.norm(self.matrix.T, 2)), 1e-300)
 
 
 def build_span_program(net: Network) -> SpanProgram:
@@ -175,12 +139,16 @@ def positive_witness(program: SpanProgram, x) -> WitnessReport:
             # theta = w * (p(u) - p(v)); int true division rounds correctly
             theta = w.numerator * (nu * dv - nv * du) / (w.denominator * du * dv)
             vec[col] = theta / (2.0 * math.sqrt(float(w)))
-    flow = program.roots * vec  # a @ vec, summed over each column's two vertex rows
+    size_float = lap.resistance_float() / 2.0  # independent float route
+    return WitnessReport(POSITIVE, size, size_float, Fraction(0), vec, _residual(program, vec))
+
+
+def _residual(program: SpanProgram, vec: np.ndarray) -> float:
+    """||A vec - tau||, with A vec summed over each column's two vertex rows."""
+    flow = program.roots * vec
     rows = len(program.vertex_index)
     image = np.bincount(program.tails, flow, rows) - np.bincount(program.heads, flow, rows)
-    residual = float(np.linalg.norm(image - target_vector(program)))
-    size_float = lap.resistance_float() / 2.0  # independent float route
-    return WitnessReport(POSITIVE, size, size_float, Fraction(0), vec, residual)
+    return float(np.linalg.norm(image - program.tau))
 
 
 def _quotient(net: Network, comp: dict):
@@ -192,6 +160,23 @@ def _quotient(net: Network, comp: dict):
     return reps, qedges
 
 
+def _separating(net: Network, comp: dict, solve):
+    """The least-energy omega constant on each selected component, 1 on the
+    component of s and 0 on that of t, by one quotient solve in the
+    arithmetic of ``solve``.  Returns the quotient Laplacian, twice omega's
+    energy (2 / R_q) and omega; when no host edge ever links the two sides,
+    the 0/1 indicator of the side of s annihilates every column, size 0."""
+    reps, qedges = _quotient(net, comp)
+    cs = comp[net.s]
+    lap = grounded_laplacian(reps, qedges, cs, comp[net.t])
+    if not lap.connected:
+        return lap, Fraction(0), {v: Fraction(comp[v] in lap.component) for v in net.vertices}
+    potentials = solve(lap, {cs: 1})
+    resistance = potentials[cs]
+    scaled = {rep: potentials.get(rep, 0) / resistance for rep in reps}
+    return lap, 2 / resistance, {v: scaled[comp[v]] for v in net.vertices}
+
+
 def negative_witness(program: SpanProgram, x) -> WitnessReport:
     """Minimum squared row norm of a functional separating s from t.
 
@@ -201,23 +186,10 @@ def negative_witness(program: SpanProgram, x) -> WitnessReport:
     """
     net = program.network
     comp = _label(selector_from_assignment(net, x), net.vertices)
-    cs, ct = comp[net.s], comp[net.t]
-    if cs == ct:
+    if comp[net.s] == comp[net.t]:
         return WitnessReport(NEGATIVE, INF, math.inf, Fraction(0), None, 0.0)
-    reps, qedges = _quotient(net, comp)
-    lap = grounded_laplacian(reps, qedges, cs, ct)
-    if not lap.connected:
-        # no host edge ever links the two groups: a 0/1 indicator annihilates
-        # every column, so the witness size collapses to zero
-        omega = {v: Fraction(1) if comp[v] in lap.component else Fraction(0)
-                 for v in net.vertices}
-        return WitnessReport(NEGATIVE, Fraction(0), 0.0, Fraction(0), omega, 0.0)
-    potentials = lap.solve_exact({cs: 1})
-    resistance = potentials[cs]
-    size = 2 / resistance
-    scaled = {rep: potentials.get(rep, Fraction(0)) / resistance for rep in reps}
-    omega = {v: scaled[comp[v]] for v in net.vertices}
-    size_float = 2.0 / lap.resistance_float()
+    lap, size, omega = _separating(net, comp, GroundedLaplacian.solve_exact)
+    size_float = 2.0 / lap.resistance_float() if lap.connected else 0.0
     norm_sq = 2.0 * sum(float(e.weight) * (float(omega[e.u]) - float(omega[e.v])) ** 2
                         for e in net.edges)
     residual = abs(norm_sq - as_float(size))
@@ -228,145 +200,134 @@ def negative_witness(program: SpanProgram, x) -> WitnessReport:
 # approximate witnesses
 # ---------------------------------------------------------------------------
 
-def _columns(program: SpanProgram, x, present: bool) -> list:
-    """The directed columns of the edges that ``x`` keeps (present) or drops."""
-    kept = {e.label for e in selector_from_assignment(program.network, x)}
-    return [i for i, (_u, _v, label) in enumerate(program.directed)
-            if (label in kept) == present]
-
-
-def _two_stage(v0: np.ndarray, basis: np.ndarray, rows: list, m=None,
-               m_norm: float = 1.0, tol: float = 1e-9) -> np.ndarray:
-    """Minimize ||M[rows] v||, then ||M v||, over v = v0 + basis @ z.
-
-    ``basis`` has orthonormal columns; ``m`` None is the identity, whose rows
-    are read off ``v0`` and ``basis``.  Each stage's rank decision is
-    anchored to its matrix's spectral norm (``m_norm`` for all of ``m``):
-    directions whose image is below tol * ||M|| count as exactly null, so the
-    second stage cannot ride a numerically-null direction of the first with
-    an enormous coefficient.  The identity's anchor is the constant 1.0:
-    distinct identity rows are orthonormal, so each non-empty set of them has
-    spectral norm 1, which LAPACK's SVD returns as exactly 1.0.
-    """
-    for stage in (rows, slice(None)):
-        sub = None if m is None else m[stage]
-        c, image = (basis[stage], v0[stage]) if sub is None else (sub @ basis, sub @ v0)
-        if c.size == 0:
-            continue
-        anchor = m_norm
-        if sub is not None and stage is rows:
-            anchor = max(float(np.linalg.norm(sub, 2)), 1e-300)
-        u, s, vt = np.linalg.svd(c, full_matrices=True)
-        rank = int((s > tol * anchor).sum())
-        if rank:
-            z = vt[:rank].T @ ((u[:, :rank].T @ -image) / s[:rank])
-            v0 = v0 + basis @ z
-        basis = basis @ vt[rank:].T
-    return v0
-
-
-def approx_positive_witness(program: SpanProgram, x) -> WitnessReport:
-    """Two-stage solve: minimize the mass on unavailable edges, then the norm.
-
-    Requires the host to connect its terminals (otherwise the target is
-    unreachable and no approximate witness exists).
-    """
-    if not program.connected:
-        raise DisconnectedError("host network never connects its terminals")
-    absent = _columns(program, x, False)
-    vec = _two_stage(program.w0, program.null_basis, absent)
-    err = float(vec[absent] @ vec[absent])
-    size = float(vec @ vec)
-    residual = float(np.linalg.norm(program.matrix @ vec - program.tau))
-    return WitnessReport(APPROX_POSITIVE, size, size, err, vec, residual)
-
-
-def approx_negative_witness(program: SpanProgram, x) -> WitnessReport:
-    """Two-stage solve over vertex functionals with omega(tau) = 1."""
-    present = _columns(program, x, True)
-    a_t, norm = program.matrix_t
-    vec = _two_stage(program.e_s, program.level_basis, present, a_t, norm)
-    err = float(np.linalg.norm(a_t[present] @ vec) ** 2)
-    size = float(np.linalg.norm(a_t @ vec) ** 2)
-    omega = {v: float(vec[i]) for v, i in program.vertex_index.items()}
-    return WitnessReport(APPROX_NEGATIVE, size, size, err, omega, 0.0)
-
-
-def approx_positive_witness_reference(program: SpanProgram, x):
-    """Exact (error, size) pair for the approximate positive witness.
+def _positive_closed_form(program: SpanProgram, x, solve):
+    """The approximate positive witness in the arithmetic of ``solve``
+    (:meth:`.GroundedLaplacian.solve_exact` or ``solve_float``).
 
     With w = w' / sqrt(c) a witness is a unit s-t flow over the directed
     columns, and the least norm splits each edge's flow evenly over its two
     columns, so both stage values are half an energy.  Stage one routes the
-    current over absent edges only: the unit current of the quotient by the
-    selected components, so the error is R_q / 2 (Ito and Jeffery,
-    "Approximate span programs", ICALP 2016, arXiv:1507.00432: the least
-    error on a 0-input is 1/w-(x)).  Stage two keeps those currents and adds,
-    inside each component, the least-energy flow of the injections they
-    leave there, one grounded solve per component.  A 1-input has error 0
-    and the size R / 2 of :func:`positive_witness`.
+    unit current of the quotient by the selected components over the absent
+    edges, so the error is R_q / 2 = 1 / w-(x).  Stage two keeps those
+    currents and adds :func:`_component_flows`; on a 1-input that is the
+    unit current of :func:`positive_witness`.
+
+    Returns the kept edges, the components, the quotient potentials by
+    representative (empty on a 1-input), the component potentials by vertex
+    and the total energy.
     """
     net = program.network
     kept = selector_from_assignment(net, x)
     comp = _label(kept, net.vertices)
     cs, ct = comp[net.s], comp[net.t]
-    if cs == ct:
-        lap = grounded_laplacian(net.vertices, kept, net.s, net.t)
-        return Fraction(0), lap.solve_exact({net.s: 1})[net.s] / 2
-    lap = grounded_laplacian(*_quotient(net, comp), cs, ct)
-    if not lap.connected:
-        raise DisconnectedError("host network never connects its terminals")
-    potentials = lap.solve_exact({cs: 1})
-    injected = {net.s: Fraction(1), net.t: Fraction(-1)}
-    for e in net.edges:
-        cu, cv = comp[e.u], comp[e.v]
-        if cu != cv:
-            current = e.weight * (potentials.get(cu, 0) - potentials.get(cv, 0))
-            injected[e.u] = injected.get(e.u, 0) - current
-            injected[e.v] = injected.get(e.v, 0) + current
-    energy = potentials[cs]
-    for rep in dict.fromkeys(comp[v] for v, b in injected.items() if b):
-        phi = grounded_laplacian(net.vertices, kept, rep, rep).solve_exact(injected)
-        energy += sum(injected[v] * y for v, y in phi.items() if v in injected)
-    return potentials[cs] / 2, energy / 2
+    injected = {net.s: 1, net.t: -1}
+    quotient = {}
+    if cs != ct:
+        lap = grounded_laplacian(*_quotient(net, comp), cs, ct)
+        if not lap.connected:
+            raise DisconnectedError("host network never connects its terminals")
+        quotient = solve(lap, {cs: 1})
+        for e in net.edges:
+            cu, cv = comp[e.u], comp[e.v]
+            if cu != cv:
+                current = e.weight * (quotient.get(cu, 0) - quotient.get(cv, 0))
+                injected[e.u] = injected.get(e.u, 0) - current
+                injected[e.v] = injected.get(e.v, 0) + current
+    phi, energy = _component_flows(net, kept, comp, injected, solve)
+    return kept, comp, quotient, phi, quotient.get(cs, 0) + energy
 
 
-def approx_negative_witness_reference(program: SpanProgram, x):
-    """Exact (error, size) pair for the approximate negative witness.
+def _component_flows(net: Network, kept: list, comp: dict, injected: dict, solve):
+    """Stage two of :func:`_positive_closed_form`: the least-energy flow of
+    the ``injected`` currents inside each component that holds one.  Tying
+    those components' representatives to one ground makes their grounded
+    Laplacians the blocks of one solve, by a Laplacian with no source.
+    Returns the potentials by vertex (each representative at 0) and their
+    total energy."""
+    active = {comp[v] for v, b in injected.items() if b}
+    order = [v for v in net.vertices if comp[v] in active and comp[v] != v]
+    index = {v: i for i, v in enumerate(order)}
+    triplets = [(index.get(e.u, len(order)), index.get(e.v, len(order)), e.weight)
+                for e in kept if comp[e.u] in active]
+    phi = solve(GroundedLaplacian(set(order), order, triplets, 0, True), injected)
+    return phi, sum(injected[v] * y for v, y in phi.items() if v in injected)
 
-    The variables are the vertex potentials, with omega(s) - omega(t) = 1,
-    and both stage values are twice a Dirichlet energy.  A 0-input has
-    error 0 and the size 2 / R_q of :func:`negative_witness`.  On a 1-input
-    stage one fixes omega on the component C of s and t to its unit-current
-    potentials over R_C, so the error is 2 / R_C (the least error on a
-    1-input is 1/w+(x), Ito and Jeffery, arXiv:1507.00432); every other
-    component is one free constant, and stage two finds those constants by
-    one Dirichlet solve on the quotient grounded at C.
-    """
+
+def _negative_closed_form(program: SpanProgram, x, solve):
+    """The approximate negative witness (error, size, omega), with omega(s) -
+    omega(t) = 1, in the arithmetic of ``solve``; both stage values are twice
+    a Dirichlet energy.  A 0-input is :func:`_separating`, with error 0.  On a
+    1-input stage one fixes omega on the component C of s and t to its
+    unit-current potentials over R_C, so the error is 2 / R_C = 1 / w+(x);
+    every other component is one free constant, and stage two finds those
+    constants by one Dirichlet solve on the quotient grounded at C."""
     net = program.network
     kept = selector_from_assignment(net, x)
     comp = _label(kept, net.vertices)
     cs, ct = comp[net.s], comp[net.t]
     if cs != ct:
-        lap = grounded_laplacian(*_quotient(net, comp), cs, ct)
-        if not lap.connected:
-            return Fraction(0), Fraction(0)
-        return Fraction(0), 2 / lap.solve_exact({cs: 1})[cs]
-    phi = grounded_laplacian(net.vertices, kept, net.s, net.t).solve_exact({net.s: 1})
+        return (0, *_separating(net, comp, solve)[1:])
+    phi = solve(grounded_laplacian(net.vertices, kept, net.s, net.t), {net.s: 1})
     resistance = phi[net.s]
-    omega = {v: y / resistance for v, y in phi.items()}
-    omega[net.t] = Fraction(0)
+    fixed = {v: y / resistance for v, y in phi.items()}  # omega on C, 0 at t
     boundary = {}  # the current each edge into C brings from its fixed end
     for e in net.edges:
         for here, there in ((e.u, e.v), (e.v, e.u)):
             if comp[here] == cs and comp[there] != cs:
-                boundary[comp[there]] = boundary.get(comp[there], 0) + e.weight * omega[here]
-    free = grounded_laplacian(*_quotient(net, comp), cs, cs).solve_exact(boundary)
-    for v in net.vertices:
-        if comp[v] != cs:
-            omega[v] = free.get(comp[v], Fraction(0))
+                boundary[comp[there]] = (boundary.get(comp[there], 0)
+                                         + e.weight * fixed.get(here, 0))
+    free = solve(grounded_laplacian(*_quotient(net, comp), cs, cs), boundary)
+    omega = {v: fixed.get(v, 0) if comp[v] == cs else free.get(comp[v], 0)
+             for v in net.vertices}
     energy = sum(e.weight * (omega[e.u] - omega[e.v]) ** 2 for e in net.edges)
-    return 2 / resistance, 2 * energy
+    return 2 / resistance, 2 * energy, omega
+
+
+def approx_positive_witness(program: SpanProgram, x) -> WitnessReport:
+    """Minimize the mass on unavailable edges, then the norm, by the closed
+    form of :func:`_positive_closed_form` in floats.  The witness is the
+    edge-space vector of :func:`positive_witness`: each edge's current split
+    over its two columns and divided by sqrt(c).  Raises
+    ``DisconnectedError`` when the host never joins its terminals."""
+    net = program.network
+    kept, comp, quotient, phi, energy = _positive_closed_form(
+        program, x, GroundedLaplacian.solve_float)
+    present = {e.label for e in kept}
+    inside = np.array([phi.get(v, 0.0) for v in net.vertices])  # in vertex_index order
+    across = np.array([quotient.get(comp[v], 0.0) for v in net.vertices])
+    tails, heads = program.tails[::2], program.heads[::2]  # each edge's (u, v) column
+    drop = np.where([e.label in present for e in net.edges],
+                    inside[tails] - inside[heads], across[tails] - across[heads])
+    half = program.roots[::2] * drop / 2  # theta / (2 sqrt c), theta = c * drop
+    vec = np.empty(len(program.directed))
+    vec[::2], vec[1::2] = half, -half
+    error = float(quotient.get(comp[net.s], 0.0)) / 2
+    size = float(energy) / 2
+    return WitnessReport(APPROX_POSITIVE, size, size, error, vec, _residual(program, vec))
+
+
+def approx_negative_witness(program: SpanProgram, x) -> WitnessReport:
+    """Minimize the row norm on available edges, then over all edges, by the
+    closed form of :func:`_negative_closed_form` in floats; the witness is
+    the omega map."""
+    error, size, omega = _negative_closed_form(program, x, GroundedLaplacian.solve_float)
+    return WitnessReport(APPROX_NEGATIVE, float(size), float(size), float(error),
+                         {v: float(w) for v, w in omega.items()}, 0.0)
+
+
+def approx_positive_witness_reference(program: SpanProgram, x):
+    """Exact (error, size) pair for the approximate positive witness: the
+    closed form of :func:`_positive_closed_form` in rationals."""
+    _kept, comp, quotient, _phi, energy = _positive_closed_form(
+        program, x, GroundedLaplacian.solve_exact)
+    return Fraction(quotient.get(comp[program.network.s], 0)) / 2, energy / 2
+
+
+def approx_negative_witness_reference(program: SpanProgram, x):
+    """Exact (error, size) pair for the approximate negative witness: the
+    closed form of :func:`_negative_closed_form` in rationals."""
+    error, size, _omega = _negative_closed_form(program, x, GroundedLaplacian.solve_exact)
+    return Fraction(error), Fraction(size)
 
 
 # ---------------------------------------------------------------------------

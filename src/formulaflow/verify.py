@@ -511,13 +511,36 @@ def _duality_product(f, bits, err_p, err_n):
     return err_p * 2 * formula_resistance(f, bits, dual=True)
 
 
+def _definition_gaps(program, bits, pos, neg) -> list:
+    """(quantity, got, want) triples that read each approximate witness
+    object against its definition, whatever method found it: the positive
+    vector reproduces the target and its mass on the absent columns is the
+    error; the negative omega has omega(s) - omega(t) = 1, and twice its
+    energy over the present edges is the error and over all edges the size."""
+    net = program.network
+    kept = {e.label for e in selector_from_assignment(net, bits)}
+    absent = pos.witness[[label not in kept for _u, _v, label in program.directed]]
+    omega = neg.witness
+    energy = {True: 0.0, False: 0.0}
+    for e in net.edges:
+        energy[e.label in kept] += 2.0 * float(e.weight) * (omega[e.u] - omega[e.v]) ** 2
+    return [("positive residual", pos.residual, 0.0),
+            ("positive error", pos.error, float(absent @ absent)),
+            ("negative omega(s) - omega(t)", omega[net.s] - omega[net.t], 1.0),
+            ("negative error", neg.error, energy[True]),
+            ("negative size", neg.size, sum(energy.values()))]
+
+
 def check_approx_witness() -> str:
     """Approximate witness sizes respect the fan-in/depth bounds on 200
     random formulas, the longest self-avoiding path respects its bound, and
-    the two-stage solver matches the exact reference within 1e-7 on all
-    instances with at most six edges.  There the exact reference's error
-    times the other kind's witness size, read off the resistance fold rather
-    than the grounded solve behind the reference, is exactly 1: the positive
+    every witness object meets its definition within 1e-9 (see
+    :func:`_definition_gaps`).  The solver matches the exact reference
+    within 1e-7 on all instances with at most six edges; the two share one
+    closed-form body, so that comparison checks the float arithmetic and the
+    definitions check the method.  There the exact reference's error times
+    the other kind's witness size, read off the resistance fold rather than
+    the grounded solve behind the reference, is exactly 1: the positive
     error on a 0-input against w- = 2 R_dual, the negative error on a
     1-input against w+ = R / 2."""
     rng = np.random.default_rng(19)
@@ -553,8 +576,12 @@ def check_approx_witness() -> str:
                 if product != 1:
                     raise SuiteFailure(f"duality violated on {f} x={bits}: "
                                        f"error * witness size = {product}")
-    return ("200 formulas: size bounds hold, solver matches the exact reference, "
-            "exact errors are the reciprocal witness sizes")
+            for name, got, want in _definition_gaps(program, bits, pos, neg):
+                if not _rel_close(got, want):
+                    raise SuiteFailure(f"witness off its definition on {f} x={bits}: "
+                                       f"{name} {got} vs {want}")
+    return ("200 formulas: size bounds hold, witnesses meet their definitions, solver "
+            "matches the exact reference, exact errors are the reciprocal witness sizes")
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 recorded before ``compute_bounds``, ``verify_resistance_product`` and
 ``witness_extrema`` shared one side-maxima sweep and before promise membership
 walked its levels bottom-up: every result must keep its exact ``repr``
-(values, attaining inputs, float bounds)."""
+(values, attaining inputs, float bounds).  The one exception is the float
+maxima of the approximate solvers, which move in the last bits with the
+solver's method: the digest hashes those extrema without them, and each is
+checked against the exact maximum it approximates at relative 1e-9."""
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 from functools import partial
@@ -34,7 +38,7 @@ from formulaflow.bounds import explicit_domain
 from formulaflow.formula import AND, OR, all_inputs, fold
 from formulaflow.verify import PRODUCT_STRUCTURES
 
-GOLDEN_DIGEST = "5ac380e52d8229b060654de5010cf3b0336649d00b71b2f96d6176e7adeb09a2"
+GOLDEN_DIGEST = "28aad20f4879958db8497e578f69b6b8bc0d3905ba26a9e24cd6f0e414227b9a"
 
 
 def _weighted_random(rng, n):
@@ -87,6 +91,14 @@ def _golden_digest():
             program = build_span_program(net)
             for approx in (False, True):
                 ext = witness_extrema(program, inputs, f, include_approx=approx)
+                if approx:
+                    # on every input the least-error witness of the right side
+                    # is the exact one, so the maxima are the exact maxima
+                    for got, want in ((ext.approx_plus, ext.w_plus),
+                                      (ext.approx_minus, ext.w_minus)):
+                        assert (got is None) == (want is None)
+                        assert want is None or abs(got - float(want)) <= 1e-9 * float(want)
+                    ext = dataclasses.replace(ext, approx_plus=None, approx_minus=None)
                 digest.update(f"extrema {i} {approx}|{ext!r}".encode())
     for n in range(2, 9):
         for kind, promise in ((AND, and_promise), (OR, or_promise)):
@@ -111,7 +123,8 @@ def test_domain_results_match_golden_digest():
     # some leaves negated) over their full domain and over explicit domains of
     # only 1-inputs and only 0-inputs; verify_resistance_product on every
     # PRODUCT_STRUCTURES entry; witness_extrema on 20 random weighted formulas
-    # (N <= 6), with and without approx, on the host and on its exported copy;
+    # (N <= 6), with and without approx, on the host and on its exported copy
+    # (the approximate maxima against the exact ones at 1e-9, not by digest);
     # promise_membership on every input of the and/or promises with
     # 2 <= n <= 8 and every h, and of the composed structures with N <= 12
     assert _golden_digest() == GOLDEN_DIGEST

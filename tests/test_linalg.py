@@ -3,14 +3,18 @@ for unit sources, zero-sum injections at several vertices, and Dirichlet data
 carried by the edges to the ground; and its float twin against a dense
 ``numpy.linalg.solve`` and against the exact kernel."""
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from formulaflow import build_nand_tree, formula_graph, linalg
+from formulaflow.electrical import grounded_laplacian
 from formulaflow.linalg import (
     _sub_mul,
     solve_consistent,
@@ -260,3 +264,68 @@ def test_float_kernel_matches_both_oracles_with_large_weights(graph):
         assert abs(x - y) <= 1e-12 * y
     if np.linalg.cond(dense_float_laplacian(n, edges)) < 1e3:
         assert dense_gap(n, edges, source) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the elimination order
+# ---------------------------------------------------------------------------
+
+def min_degree_pushing_every_neighbour(off):
+    """The minimum-degree generator as it was before it skipped neighbours
+    whose degree had not changed: every neighbour is pushed again."""
+    heap = [(len(row), k) for k, row in enumerate(off)]
+    heapq.heapify(heap)
+    done = [False] * len(off)
+    while heap:
+        degree, k = heapq.heappop(heap)
+        if done[k] or degree != len(off[k]):
+            continue
+        done[k] = True
+        yield k
+        for a in off[k]:
+            heapq.heappush(heap, (len(off[a]), a))
+
+
+def orders_and_potentials(generator, n, edges, source):
+    """The elimination orders of the exact and the float kernel under
+    ``generator``, and the float potentials."""
+    orders = []
+
+    def recording(off):
+        orders.append([])
+        for k in generator(off):
+            orders[-1].append(k)
+            yield k
+
+    with mock.patch.object(linalg, "_min_degree", recording):
+        solve_grounded_laplacian(n, edges, unit(n, source))
+        potentials = solve_grounded_laplacian_float(n, edges, float_unit(n, source))
+    return orders, potentials
+
+
+def assert_order_unchanged(n, edges, source):
+    new = orders_and_potentials(linalg._min_degree, n, edges, source)
+    old = orders_and_potentials(min_degree_pushing_every_neighbour, n, edges, source)
+    assert new == old
+    assert sorted(new[0][0]) == list(range(n))
+
+
+# the 3-cube hung from the ground by one edge: eliminating a vertex joins its
+# three neighbours, none of them adjacent, so each one's degree rises to 4
+CUBE = [(i, i ^ bit, Fraction(1 + i, 1 + bit)) for i in range(8) for bit in (1, 2, 4)
+        if i < i ^ bit] + [(0, 8, Fraction(1))]
+
+
+def test_min_degree_order_unchanged_on_nand_tree_and_fill_in():
+    net = formula_graph(build_nand_tree(8))
+    lap = grounded_laplacian(net.vertices, net.edges, net.s, net.t)
+    assert_order_unchanged(len(lap.order), lap.triplets, lap.source)
+    for n, edges in [(8, CUBE), *NON_SERIES_PARALLEL.values()]:
+        for source in range(n):
+            assert_order_unchanged(n, edges, source)
+
+
+@given(connected_graphs())
+@settings(max_examples=200, deadline=None)
+def test_min_degree_order_unchanged_on_random_graphs(graph):
+    assert_order_unchanged(*graph)

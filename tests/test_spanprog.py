@@ -116,14 +116,11 @@ def eager_span_matrix(net):
     return a
 
 
-# the span matrix and the approximate solvers' input-independent factors
-LAZY_FACTORS = ("matrix", "connected", "w0", "null_basis", "e_s", "level_basis", "matrix_t")
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_exact_routes_build_no_span_matrix(seed):
-    # the formula host and its exported copy, which has no formula, so that
-    # witness_extrema solves every input by the exact witnesses
+    # no witness route builds the dense span matrix, the approximate solvers
+    # included; the formula host and its exported copy, which has no formula,
+    # so that witness_extrema solves every input by the exact witnesses
     rng = np.random.default_rng(seed)
     n = 1 + 3 * seed
     f = random_formula(rng, n) if n > 1 else leaf(1)
@@ -133,17 +130,14 @@ def test_exact_routes_build_no_span_matrix(seed):
         for x in all_inputs(n):
             positive_witness(program, x)
             negative_witness(program, x)
+            approx_positive_witness(program, x)
+            approx_negative_witness(program, x)
             approx_positive_witness_reference(program, x)
             approx_negative_witness_reference(program, x)
-        witness_extrema(program, list(all_inputs(n)), f, include_approx=False)
-        assert not set(LAZY_FACTORS) & set(vars(program))
-        approx_positive_witness(program, (1,) * n)
-        approx_negative_witness(program, (0,) * n)
-        assert program.matrix.tobytes() == eager_span_matrix(net).tobytes()
-        first = {name: vars(program)[name] for name in LAZY_FACTORS}
-        approx_positive_witness(program, (0,) * n)
-        approx_negative_witness(program, (1,) * n)
-        assert all(vars(program)[name] is value for name, value in first.items())
+        witness_extrema(program, list(all_inputs(n)), f)
+        assert "matrix" not in vars(program)
+        assert span_matrix(program).tobytes() == eager_span_matrix(net).tobytes()
+        assert vars(program)["matrix"] is span_matrix(program)
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +394,12 @@ def dense_approx_reports(program, x, w0, null):
     return pos, neg
 
 
-def report_bytes(error, size, witness, residual):
-    body = witness.tobytes() if isinstance(witness, np.ndarray) else repr(witness).encode()
-    return f"{error!r}|{size!r}|{residual!r}|".encode() + body
+def rel_close(got, want, rtol=1e-9):
+    """Elementwise |got - want| <= rtol * |want|, with an absolute floor of
+    rtol times the largest |want| for entries that cancel to about zero."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    floor = rtol * float(np.max(np.abs(want), initial=0.0))
+    return bool(np.all(np.abs(got - want) <= rtol * np.abs(want) + floor))
 
 
 def dense_stage_hosts():
@@ -416,9 +413,11 @@ def dense_stage_hosts():
 
 
 def test_approx_solvers_match_dense_stage_oracle():
-    # byte-equal reports against the per-input dense stage matrices on every
-    # input of 30 weighted hosts (N <= 8, a third of the leaves negated, each
-    # formula's network and its dual) and of the NAND tree of depth 4
+    # the closed-form solvers against the per-input dense stage matrices on
+    # every input of 30 weighted hosts (N <= 8, a third of the leaves negated,
+    # each formula's network and its dual) and of the NAND tree of depth 4,
+    # at relative 1e-9; omega is fixed only up to a constant shift, so the
+    # negative witnesses are compared by their images A^T omega
     for f, net in dense_stage_hosts():
         program = build_span_program(net)
         a = span_matrix(program)
@@ -426,11 +425,13 @@ def test_approx_solvers_match_dense_stage_oracle():
         for x in all_inputs(f.n_vars):
             pos, neg = approx_positive_witness(program, x), approx_negative_witness(program, x)
             want_pos, want_neg = dense_approx_reports(program, x, w0, null)
-            assert pos.size == pos.size_float
-            assert report_bytes(pos.error, pos.size, pos.witness, pos.residual) == \
-                report_bytes(*want_pos)
-            assert report_bytes(neg.error, neg.size, neg.witness, neg.residual) == \
-                report_bytes(*want_neg)
+            assert pos.size == pos.size_float and neg.size == neg.size_float
+            assert pos.residual <= 1e-9
+            assert rel_close([pos.error, pos.size], want_pos[:2])
+            assert rel_close(pos.witness, want_pos[2])
+            assert rel_close([neg.error, neg.size], want_neg[:2])
+            omega = [neg.witness[v] for v in net.vertices]  # in vertex_index order
+            assert rel_close(a.T @ omega, a.T @ [want_neg[2][v] for v in net.vertices])
 
 
 # ---------------------------------------------------------------------------
