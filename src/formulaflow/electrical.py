@@ -19,9 +19,14 @@ Three mutually cross-checking resistance routes work on the network:
 The exact routes compute on reduced ``(numerator, denominator)`` int pairs,
 one ``math.gcd`` per operation, and build a ``Fraction`` only for a value
 they return: the reduction merges resistors with the fold's :func:`_series`
-and :func:`_parallel`, :func:`optimal_flow` forms each current
-c * (p(u) - p(v)) from the kernel's potentials, and :func:`flow_energy` sums
-theta^2 / c.
+and :func:`_parallel`, and :func:`flow_energy` sums theta^2 / c.
+
+Flows: :func:`_unit_flow` forms each current c * (p(u) - p(v)) of the unit
+s-t flow from the kernel's potentials, once, for :func:`optimal_flow` and
+the positive span-program witness.  :func:`_balances` sums every vertex's
+net outflow in one pass for :func:`check_unit_flow` and
+:func:`decompose_flow`, whose one greedy walk splits any unit flow into
+paths and cycles with positive coefficients.
 
 :func:`formula_resistance` never builds the network: it folds the formula
 tree with :func:`.formula.fold` over reduced ``(numerator, denominator)``
@@ -244,10 +249,6 @@ class FlowAssignment:
     def value(self, u: str, v: str, label: str) -> Fraction:
         return self.values.get((u, v, label), Fraction(0))
 
-    def net_out(self, vertex: str) -> Fraction:
-        return sum((val for (u, _v, _l), val in self.values.items() if u == vertex),
-                   Fraction(0))
-
 
 def flow_from_directed(values: dict) -> FlowAssignment:
     full = {}
@@ -260,6 +261,14 @@ def flow_from_directed(values: dict) -> FlowAssignment:
     return FlowAssignment(full)
 
 
+def _balances(flow: FlowAssignment) -> dict:
+    """Each vertex's net outflow, summed in one pass over the arcs."""
+    balance = defaultdict(Fraction)
+    for (u, _v, _label), val in flow.values.items():
+        balance[u] += val
+    return balance
+
+
 def check_unit_flow(net: Network, flow: FlowAssignment) -> None:
     """Raise ValueError unless ``flow`` is an exact unit s-t flow on ``net``."""
     known = {(e.u, e.v, e.label) for e in net.edges}
@@ -270,8 +279,9 @@ def check_unit_flow(net: Network, flow: FlowAssignment) -> None:
         u, v, label = key
         if flow.values.get((v, u, label), Fraction(0)) != -val:
             raise ValueError(f"antisymmetry violated on {key}")
+    balance = _balances(flow)
     for vertex in net.vertices:
-        out = flow.net_out(vertex)
+        out = balance[vertex]
         if vertex == net.s:
             if out != 1:
                 raise ValueError(f"net outflow at s is {out}, expected 1")
@@ -295,6 +305,27 @@ def flow_energy(net: Network, flow: FlowAssignment) -> Fraction:
     return Fraction(p, q)
 
 
+def _unit_flow(vertices, edges, s, t):
+    """The unit s-t current over ``edges``: the grounded Laplacian, the
+    resistance (the exact potential of ``s``, with ``t`` at 0) and each
+    nonzero current c * (p(u) - p(v)) keyed ``(u, v, label)`` in edge order;
+    None when ``s`` and ``t`` are not joined."""
+    lap = grounded_laplacian(vertices, edges, s, t)
+    if not lap.connected:
+        return None
+    exact = lap.solve_exact({s: 1})
+    potentials = {v: (p.numerator, p.denominator) for v, p in exact.items()}
+    potentials[t] = (0, 1)
+    currents = {}
+    for e in edges:
+        if e.u in potentials:
+            (nu, du), (nv, dv) = potentials[e.u], potentials[e.v]
+            num = e.weight.numerator * (nu * dv - nv * du)
+            if num:
+                currents[(e.u, e.v, e.label)] = Fraction(num, e.weight.denominator * du * dv)
+    return lap, exact[s], currents
+
+
 def optimal_flow(net: Network):
     """Minimum-energy unit s-t flow and its energy, both exact.
 
@@ -302,34 +333,27 @@ def optimal_flow(net: Network):
     equals the effective resistance.  Raises DisconnectedError when no unit
     flow exists.
     """
-    lap = grounded_laplacian(net.vertices, net.edges, net.s, net.t)
-    if not lap.connected:
+    unit = _unit_flow(net.vertices, net.edges, net.s, net.t)
+    if unit is None:
         raise DisconnectedError("terminals are not connected")
-    potentials = {v: (p.numerator, p.denominator)
-                  for v, p in lap.solve_exact({net.s: 1}).items()}
-    potentials[net.t] = (0, 1)
-    values = {}
-    for e in net.edges:
-        if e.u in potentials and e.v in potentials:
-            (nu, du), (nv, dv) = potentials[e.u], potentials[e.v]
-            num = e.weight.numerator * (nu * dv - nv * du)
-            if num:
-                values[(e.u, e.v, e.label)] = Fraction(num, e.weight.denominator * du * dv)
-    flow = flow_from_directed(values)
+    flow = flow_from_directed(unit[2])
     return flow, flow_energy(net, flow)
 
 
 def decompose_flow(flow: FlowAssignment):
-    """Split a unit flow into weighted self-avoiding s-t paths and cycles.
+    """Split a unit flow into s-t paths and cycles with positive coefficients.
 
     Terminals are recovered from the flow itself (the unique vertices with
-    net outflow +1 / -1).  Returns a list of (coefficient, kind, edges)
-    triples with kind "path" or "cycle"; recomposition is exact and the
-    signed path coefficients sum to one.
+    net outflow +1 / -1).  One walk repeats over the positive arcs, always
+    taking the largest remaining arc: from s while part of the unit is
+    unrouted, else from the tail of the least remaining arc.  It stops at t
+    for a self-avoiding path, or at the first vertex seen again for a simple
+    cycle, whose coefficient is its least arc (for a path, at most the
+    unrouted part).  Returns (coefficient, kind, edges) triples, kind "path"
+    or "cycle"; they recompose exactly, and the path coefficients sum to
+    one.  A potential flow runs downhill, so it gives paths only.
     """
-    balance = defaultdict(Fraction)
-    for (u, _v, _label), val in flow.values.items():
-        balance[u] += val
+    balance = _balances(flow)
     sources = [v for v, b in balance.items() if b == 1]
     sinks = [v for v, b in balance.items() if b == -1]
     others = [v for v, b in balance.items() if b != 0 and v not in sources + sinks]
@@ -338,60 +362,31 @@ def decompose_flow(flow: FlowAssignment):
     s, t = sources[0], sinks[0]
 
     residual = {k: v for k, v in flow.values.items() if v > 0}
-
-    def out_arcs(v):
-        arcs = [(key, val) for key, val in residual.items() if key[0] == v and val > 0]
-        arcs.sort(key=lambda kv: (-kv[1], kv[0]))
-        return arcs
-
-    def find_path(a, b):
-        # DFS over positive residual arcs, largest value first
-        stack = [(a, [], {a})]
-        while stack:
-            v, path, seen = stack.pop()
-            if v == b:
-                return path
-            for key, _val in reversed(out_arcs(v)):
-                nxt = key[1]
-                if nxt not in seen:
-                    stack.append((nxt, path + [key], seen | {nxt}))
-        return None
-
-    def strip(arcs):
-        # classic capped stripping: never flips an arc's sign, zeroes >= 1 arc
-        coeff = min(residual[key] for key in arcs)
-        for key in arcs:
+    arcs_out = defaultdict(list)
+    for key in residual:
+        arcs_out[key[0]].append(key)
+    unrouted = Fraction(1)
+    pieces = []
+    while residual:
+        v = s if unrouted else min(residual)[0]
+        walk, first_arc_at = [], {}
+        while not (unrouted and v == t) and v not in first_arc_at:
+            first_arc_at[v] = len(walk)
+            key = min((k for k in arcs_out[v] if k in residual),
+                      key=lambda k: (-residual[k], k))
+            walk.append(key)
+            v = key[1]
+        if v in first_arc_at:
+            kind, walk = "cycle", walk[first_arc_at[v]:]
+            coeff = min(residual[key] for key in walk)
+        else:
+            kind, coeff = "path", min(unrouted, *(residual[key] for key in walk))
+            unrouted -= coeff
+        for key in walk:
             residual[key] -= coeff
             if residual[key] == 0:
                 del residual[key]
-        return coeff
-
-    pieces = []
-    while True:
-        path = find_path(s, t)
-        if path is None:
-            break
-        pieces.append((strip(path), "path", path))
-    while True:
-        back = find_path(t, s)
-        if back is None:
-            break
-        coeff = strip(back)
-        forward = [(v, u, label) for (u, v, label) in reversed(back)]
-        pieces.append((-coeff, "path", forward))
-    # the remainder is a circulation: peel cycles until nothing is left
-    while residual:
-        start = min(residual)
-        walk = [start]
-        first_arc_at = {start[0]: 0}
-        v = start[1]
-        while v not in first_arc_at:
-            first_arc_at[v] = len(walk)
-            key = out_arcs(v)[0][0]
-            walk.append(key)
-            v = key[1]
-        cycle = walk[first_arc_at[v]:]
-        pieces.append((strip(cycle), "cycle", cycle))
+        pieces.append((coeff, kind, walk))
     return pieces
 
 

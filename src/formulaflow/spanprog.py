@@ -4,14 +4,16 @@ The program for a network spans one coordinate per *directed* edge; the map
 sends (u, v, lambda) to sqrt(c) * (e_u - e_v) and the target is e_s - e_t.
 Every solver works on the host edges that
 :func:`.graphs.selector_from_assignment` keeps; exact witness sizes come from
-the definitional quadratic programs (positive: a grounded-Laplacian solve on
-the kept edges; negative: a potential minimization on the quotient by their
-components), so they can be cross-checked against the independent
-series-parallel reduction of the network and of its structural dual.  No
-solver needs a dense matrix: the program keeps each directed column's two
-vertex rows and sqrt(c), and a positive residual sums them with
-``np.bincount``; the dense |V| x 2|E| span matrix A is a cached property
-that only :func:`span_matrix` builds.
+the definitional quadratic programs, so they can be cross-checked against the
+independent series-parallel reduction of the network and of its structural
+dual.  Positive: the unit s-t current on the kept edges, the one that
+:func:`.electrical.optimal_flow` reads, over 2 sqrt(c) in each edge's two
+columns with opposite signs, of size R / 2.  Negative: a potential
+minimization on the quotient by their components.  No solver needs a dense
+matrix: the program keeps each directed column's two vertex rows and
+sqrt(c), and a positive residual sums them with ``np.bincount``; the dense
+|V| x 2|E| span matrix A is a cached property that only :func:`span_matrix`
+builds.
 
 Approximate witnesses minimize the error term first and the norm second, by
 the closed form of Ito and Jeffery ("Approximate span programs", ICALP 2016,
@@ -35,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .electrical import GroundedLaplacian, _label, formula_resistance, grounded_laplacian
+from .electrical import GroundedLaplacian, _label, _unit_flow, formula_resistance, grounded_laplacian
 from .errors import DisconnectedError
 from .extended import INF, as_float
 from .formula import AND, Formula, as_bits, eval_formula, side_maxima
@@ -123,24 +125,19 @@ def positive_witness(program: SpanProgram, x) -> WitnessReport:
     """Minimum squared norm of an edge-space vector reaching the target over
     the available edges; INF when the selected subgraph is disconnected."""
     net = program.network
-    kept = selector_from_assignment(net, x)
-    lap = grounded_laplacian(net.vertices, kept, net.s, net.t)
-    if not lap.connected:
+    unit = _unit_flow(net.vertices, selector_from_assignment(net, x), net.s, net.t)
+    if unit is None:
         return WitnessReport(POSITIVE, INF, math.inf, Fraction(0), None, 0.0)
-    exact = lap.solve_exact({net.s: 1})
-    size = exact[net.s] / 2
-    potentials = {v: (p.numerator, p.denominator) for v, p in exact.items()}
-    potentials[net.t] = (0, 1)
-    weights = {e.label: e.weight for e in kept}
-    vec = np.zeros(len(program.directed))
-    for col, (u, v, label) in enumerate(program.directed):
-        if label in weights and u in potentials and v in potentials:
-            (nu, du), (nv, dv), w = potentials[u], potentials[v], weights[label]
-            # theta = w * (p(u) - p(v)); int true division rounds correctly
-            theta = w.numerator * (nu * dv - nv * du) / (w.denominator * du * dv)
-            vec[col] = theta / (2.0 * math.sqrt(float(w)))
+    lap, resistance, currents = unit
+    # float(Fraction) rounds correctly; 0.0 - half keeps +0.0 on an idle edge
+    half = np.array([float(currents.get(key, 0)) for key in program.directed[::2]])
+    half /= 2 * program.roots[::2]
+    vec = np.empty(len(program.directed))
+    vec[0::2] = half
+    vec[1::2] = 0.0 - half
     size_float = lap.resistance_float() / 2.0  # independent float route
-    return WitnessReport(POSITIVE, size, size_float, Fraction(0), vec, _residual(program, vec))
+    return WitnessReport(POSITIVE, resistance / 2, size_float, Fraction(0), vec,
+                         _residual(program, vec))
 
 
 def _residual(program: SpanProgram, vec: np.ndarray) -> float:

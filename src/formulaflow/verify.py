@@ -171,7 +171,10 @@ def _path_literals(net, dual: bool, budget=40):
             for path in simple_st_paths(net, budget)]
 
 
-def _check_formula_connectivity(f: Formula, chunk_bits: int = 20) -> bool:
+_CHUNK_BITS = 20  # the connectivity check evaluates 2 ** 20 inputs at a time
+
+
+def _check_formula_connectivity(f: Formula) -> bool:
     """Graph-search connectivity of the selected subgraph must equal the
     formula value on every input, and the dual must be its complement."""
     n = f.n_vars
@@ -192,7 +195,7 @@ def _check_formula_connectivity(f: Formula, chunk_bits: int = 20) -> bool:
         return conn
 
     total = 1 << n
-    step = min(total, 1 << chunk_bits)
+    step = min(total, 1 << _CHUNK_BITS)
     for startx in range(0, total, step):
         cols = _bit_columns(n, startx, min(startx + step, total))
         value = value_vector(cols)
@@ -590,8 +593,8 @@ def check_approx_witness() -> str:
 
 def check_flow_decomposition() -> str:
     """Optimal flows satisfy the flow axioms exactly and their energy equals
-    the effective resistance; decompositions recompose exactly with signed
-    path coefficients summing to one."""
+    the effective resistance; decompositions recompose exactly into paths
+    alone, with positive coefficients summing to one."""
     rng = np.random.default_rng(23)
     flows = 0
     for _ in range(40):

@@ -2,6 +2,8 @@ import functools
 import hashlib
 import itertools
 import math
+import time
+from collections import defaultdict
 from fractions import Fraction
 from functools import partial
 
@@ -40,6 +42,7 @@ from formulaflow import (
     recompose,
     selector_from_assignment,
     shortest_st_path_length,
+    simple_st_paths,
     single_edge,
     subgraph,
     witness_cut,
@@ -454,6 +457,184 @@ def test_decomposition_properties_random(n, seed):
     assert recompose(pieces).values == flow.values
     assert sum(c for c, k, _ in pieces if k == "path") == 1
     assert not [1 for _c, k, _e in pieces if k == "cycle"]
+
+
+def test_opposing_flow_decomposes_to_a_path_and_a_cycle():
+    # the opposing flow above: the walk routes the unit over x1, then peels
+    # the remaining half on x1 and its return over x2 as one cycle
+    net = formula_graph(parse_formula("x1|x2"))
+    e1, e2 = net.edges
+    flow = flow_from_directed({
+        (e1.u, e1.v, e1.label): Fraction(3, 2),
+        (e2.u, e2.v, e2.label): Fraction(-1, 2),
+    })
+    assert decompose_flow(flow) == [
+        (1, "path", [(e1.u, e1.v, "x1")]),
+        (Fraction(1, 2), "cycle", [(e1.u, e1.v, "x1"), (e2.v, e2.u, "x2")]),
+    ]
+
+
+def test_circulation_through_diamonds_decomposes_in_one_walk_each():
+    # a unit s-t arc plus a circulation of 5 from s through k diamonds and
+    # back: a search that backtracks over each diamond's two branches takes
+    # 2^k steps before it tries the s-t arc
+    k = 24
+    half = Fraction(5, 2)
+    values = {("s", "t", "st"): Fraction(1), (f"a{k}", "s", "back"): Fraction(5)}
+    for i in range(k):
+        a = f"a{i}" if i else "s"
+        for mid in (f"b{i}", f"c{i}"):
+            values[(a, mid, f"{mid}in")] = half
+            values[(mid, f"a{i + 1}", f"{mid}out")] = half
+    flow = flow_from_directed(values)
+    start = time.perf_counter()
+    pieces = decompose_flow(flow)
+    assert time.perf_counter() - start < 5
+    assert [(c, kind, len(arcs)) for c, kind, arcs in pieces] == \
+        [(half, "cycle", 2 * k + 1), (half, "cycle", 2 * k + 1), (1, "path", 1)]
+    assert pieces[2][2] == [("s", "t", "st")]
+    assert recompose(pieces).values == flow.values
+
+
+def _directed(path, s):
+    """The arcs of an s-t path of host edges, each with its sign against the
+    edge's own orientation."""
+    arcs, v = [], s
+    for e in path:
+        arcs.append(((e.u, e.v, e.label), 1 if e.u == v else -1))
+        v = e.v if e.u == v else e.u
+    return arcs
+
+
+def _assert_walk(arcs, start, end):
+    """``arcs`` chain from ``start`` to ``end`` through distinct tails, none
+    of them ``end`` unless the walk is closed."""
+    tails = [u for u, _v, _label in arcs]
+    assert tails[0] == start and arcs[-1][1] == end
+    assert all(a[1] == b[0] for a, b in zip(arcs, arcs[1:]))
+    assert len(set(tails)) == len(tails)
+    assert start == end or end not in tails
+
+
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_walk_decomposes_flows_with_circulations_and_opposing_parts(n, seed):
+    # an optimal flow plus c * (P - Q) for random host s-t paths P and Q:
+    # each term is a circulation around host cycles, and a large c on a
+    # path the flow uses runs part of the flow against itself
+    rng = np.random.default_rng(seed)
+    f = _relabelled(random_formula(rng, n, max_fanin=4) if n > 1 else leaf(1), rng)
+    weights = _pq_weights(rng, 1, n)
+    polarity = (PRIMAL, DUAL)[int(rng.integers(2))]
+    host = (formula_graph if polarity == PRIMAL else dual_network)(f, weights)
+    x = tuple(int(b) for b in rng.integers(0, 2, size=n))
+    sub = subgraph(host, selector_from_assignment(host, x, polarity))
+    if not terminals_connected(sub):
+        return
+    flow, _ = optimal_flow(sub)
+    values = {(e.u, e.v, e.label): flow.value(e.u, e.v, e.label) for e in host.edges}
+    paths = simple_st_paths(host)
+    for _ in range(int(rng.integers(1, 4))):
+        p, q = (paths[int(i)] for i in rng.integers(0, len(paths), size=2))
+        c = Fraction(int(rng.integers(1, 22)), int(rng.integers(1, 8)))
+        for path, sign in ((p, c), (q, -c)):
+            for key, direction in _directed(path, host.s):
+                values[key] += sign * direction
+    flow = flow_from_directed(values)
+    check_unit_flow(host, flow)
+    pieces = decompose_flow(flow)
+    assert all(c > 0 for c, _k, _e in pieces)
+    for _c, kind, arcs in pieces:
+        if kind == "path":
+            _assert_walk(arcs, host.s, host.t)
+        else:
+            assert kind == "cycle"
+            _assert_walk(arcs, arcs[0][0], arcs[0][0])
+    assert recompose(pieces).values == flow.values
+    assert sum(c for c, k, _ in pieces if k == "path") == 1
+
+
+def _three_phase_decompose(flow):
+    """The earlier decomposition, kept as a reference: a backtracking search
+    for s-t paths over the positive arcs, largest first, then backward t-s
+    paths as negative pieces, then cycles from the least remaining arc."""
+    balance = defaultdict(Fraction)
+    for (u, _v, _label), val in flow.values.items():
+        balance[u] += val
+    s = next(v for v, b in balance.items() if b == 1)
+    t = next(v for v, b in balance.items() if b == -1)
+    residual = {k: v for k, v in flow.values.items() if v > 0}
+
+    def out_arcs(v):
+        arcs = [(key, val) for key, val in residual.items() if key[0] == v and val > 0]
+        arcs.sort(key=lambda kv: (-kv[1], kv[0]))
+        return arcs
+
+    def find_path(a, b):
+        stack = [(a, [], {a})]
+        while stack:
+            v, path, seen = stack.pop()
+            if v == b:
+                return path
+            for key, _val in reversed(out_arcs(v)):
+                if key[1] not in seen:
+                    stack.append((key[1], path + [key], seen | {key[1]}))
+        return None
+
+    def strip(arcs):
+        coeff = min(residual[key] for key in arcs)
+        for key in arcs:
+            residual[key] -= coeff
+            if residual[key] == 0:
+                del residual[key]
+        return coeff
+
+    pieces = []
+    while (path := find_path(s, t)) is not None:
+        pieces.append((strip(path), "path", path))
+    while (back := find_path(t, s)) is not None:
+        coeff = strip(back)
+        pieces.append((-coeff, "path", [(v, u, label) for (u, v, label) in reversed(back)]))
+    while residual:
+        start = min(residual)
+        walk, first_arc_at, v = [start], {start[0]: 0}, start[1]
+        while v not in first_arc_at:
+            first_arc_at[v] = len(walk)
+            walk.append(out_arcs(v)[0][0])
+            v = walk[-1][1]
+        cycle = walk[first_arc_at[v]:]
+        pieces.append((strip(cycle), "cycle", cycle))
+    return pieces
+
+
+def _grid(rows, cols, rng):
+    """A weighted rows x cols grid from corner to corner: not series-parallel
+    once both sides exceed one."""
+    def name(i, j):
+        return "s" if (i, j) == (0, 0) else "t" if (i, j) == (rows - 1, cols - 1) else f"{i}.{j}"
+    pairs = [(name(i, j), name(a, b)) for i in range(rows) for j in range(cols)
+             for a, b in ((i + 1, j), (i, j + 1)) if a < rows and b < cols]
+    resistances = [Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9))) for _ in pairs]
+    return _network([name(i, j) for i in range(rows) for j in range(cols)], pairs, resistances)
+
+
+def test_walk_matches_three_phase_reference_on_weighted_grids():
+    # the same pieces, in the same order, on every optimal flow: a potential
+    # flow runs downhill, so the reference's search never backtracks and
+    # its backward and cycle phases find nothing
+    rng = np.random.default_rng(2424)
+    flows = 0
+    for rows, cols in itertools.product(range(2, 6), repeat=2):
+        host = _grid(rows, cols, rng)
+        m = len(host.edges)
+        inputs = [(1,) * m] + [tuple(int(b) for b in rng.random(m) < 0.8) for _ in range(40)]
+        for x in inputs:
+            sub = subgraph(host, selector_from_assignment(host, x))
+            if terminals_connected(sub):
+                flow, _ = optimal_flow(sub)
+                assert decompose_flow(flow) == _three_phase_decompose(flow), (rows, cols, x)
+                flows += 1
+    assert flows > 300
 
 
 # ---------------------------------------------------------------------------
