@@ -27,16 +27,7 @@ from .electrical import (
     optimal_flow,
     witness_cut,
 )
-from .errors import (
-    AssignmentLengthError,
-    DisconnectedError,
-    DomainTooLargeError,
-    FormulaError,
-    LabelCollisionError,
-    NotSeriesParallelError,
-    PromiseMismatchError,
-    SearchBudgetError,
-)
+from .errors import DomainTooLargeError, SearchBudgetError
 from .extended import is_inf
 from .formula import DOMAIN_CAP, all_inputs, nested_text, parse_formula, render
 from .graphs import (
@@ -58,11 +49,7 @@ from .spanprog import (
     witness_extrema,
 )
 
-DOMAIN_ERRORS = (
-    FormulaError, AssignmentLengthError, PromiseMismatchError,
-    LabelCollisionError, NotSeriesParallelError, DisconnectedError,
-    SearchBudgetError, DomainTooLargeError, ValueError,
-)
+DOMAIN_ERRORS = (ValueError, SearchBudgetError, DomainTooLargeError)
 
 
 def _load_weights(path):
@@ -435,6 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

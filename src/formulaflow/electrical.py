@@ -34,8 +34,10 @@ pairs of ints, ``(1, 0)`` marking an open branch.  AND adds resistances in
 series and OR adds conductances in parallel (swapped for the dual), with one
 ``math.gcd`` per gate; only the root builds a ``Fraction``, or ``INF``.  Cut
 sizes come from a fold over (min, +) and from one max-flow routine that
-:func:`cut_size` and :func:`witness_cut` share, on the host edges that
-:func:`.graphs.selector_from_assignment` keeps.
+:func:`cut_size` and :func:`witness_cut` share: unit augmentations on the
+host's quotient by the components of the edges that
+:func:`.graphs.selector_from_assignment` keeps, where one residual search
+both finds each augmenting path and, once none is left, the s-side.
 
 Disconnection is reported as the value ``INF`` from :mod:`.extended`.
 """
@@ -416,34 +418,34 @@ class CutAssignment:
         return frozenset(v for v, bit in self.kappa.items() if bit == 1)
 
 
+def _residual_search(capacity, adj, s: int, t: int) -> dict:
+    """Breadth-first search of the residual graph from ``s``, stopping once
+    it reaches ``t``: each reached vertex mapped to its parent."""
+    parent = {s: None}
+    queue = deque([s])
+    while queue and t not in parent:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in parent and capacity[(u, v)] > 0:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
 def _max_flow_value(capacity, adj, s: int, t: int) -> int:
-    """Edmonds-Karp; mutates ``capacity`` into the residual capacities."""
+    """Edmonds-Karp on integer capacities, one unit per augmenting path: the
+    count of edge-disjoint s-t paths.  Mutates ``capacity`` into the
+    residual capacities."""
     flow = 0
-    while True:
-        parent = {s: None}
-        queue = deque([s])
-        while queue and t not in parent:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in parent and capacity[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if t not in parent:
-            return flow
-        bottleneck = None
+    while t in (parent := _residual_search(capacity, adj, s, t)):
         v = t
-        while parent[v] is not None:
+        while v != s:
             u = parent[v]
-            c = capacity[(u, v)]
-            bottleneck = c if bottleneck is None else min(bottleneck, c)
+            capacity[(u, v)] -= 1
+            capacity[(v, u)] += 1
             v = u
-        v = t
-        while parent[v] is not None:
-            u = parent[v]
-            capacity[(u, v)] -= bottleneck
-            capacity[(v, u)] += bottleneck
-            v = u
-        flow += bottleneck
+        flow += 1
+    return flow
 
 
 MAXFLOW = "maxflow"
@@ -454,34 +456,30 @@ def _min_cut(host: Network, x):
     """Minimum count of host edges crossing an s-t cut that no selected edge
     crosses, and the s-side the max-flow residual reaches.
 
-    Selected edges get capacity |E| + 1, so no minimum cut crosses one.
-    Returns None when the selected subgraph connects the terminals.
+    Max-flow runs on the host's quotient by the components of the selected
+    edges, numbered in vertex order: each host edge joining two components
+    adds one unit of capacity between them.  A minimum cut that crosses no
+    selected edge splits no component, so the quotient's minimum cut has the
+    same value and the same inclusion-minimal s-side.  Returns None when the
+    selected subgraph connects the terminals.
     """
-    kept = selector_from_assignment(host, x)
-    if host.t in _label(kept, (host.s,)):
+    comp = _label(selector_from_assignment(host, x), host.vertices)
+    if comp[host.s] == comp[host.t]:
         return None
-    present = {e.label for e in kept}
-    big = len(host.edges) + 1
-    index = {v: i for i, v in enumerate(host.vertices)}
+    number = {}
+    index = {v: number.setdefault(comp[v], len(number)) for v in host.vertices}
     capacity = defaultdict(int)
     adj = defaultdict(set)
     for e in host.edges:
-        cap = big if e.label in present else 1
         iu, iv = index[e.u], index[e.v]
-        capacity[(iu, iv)] += cap
-        capacity[(iv, iu)] += cap
-        adj[iu].add(iv)
-        adj[iv].add(iu)
-    s = index[host.s]
-    value = _max_flow_value(capacity, adj, s, index[host.t])
-    reach = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in reach and capacity[(u, v)] > 0:
-                reach.add(v)
-                stack.append(v)
+        if iu != iv:
+            capacity[(iu, iv)] += 1
+            capacity[(iv, iu)] += 1
+            adj[iu].add(iv)
+            adj[iv].add(iu)
+    s, t = index[host.s], index[host.t]
+    value = _max_flow_value(capacity, adj, s, t)
+    reach = _residual_search(capacity, adj, s, t)
     return value, {v for v in host.vertices if index[v] in reach}
 
 

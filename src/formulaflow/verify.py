@@ -671,14 +671,15 @@ def run_criterion(name: str) -> CriterionResult:
 def run_suite(names=None, stream=None, jobs: int = 1, as_json: bool = False) -> list:
     """Run the named suites (default: all) and print one line per result.
 
-    With ``jobs`` > 1 the suites run in worker processes.  Lines come in the
-    given order either way, each as soon as it and every earlier suite are
-    done.  With ``as_json`` each line is one JSON object with the keys
-    ``suite``, ``passed``, ``seconds`` and ``detail``.
+    With ``jobs`` > 1 the suites run in worker processes, at most one per
+    suite.  Lines come in the given order either way, each as soon as it and
+    every earlier suite are done.  With ``as_json`` each line is one JSON
+    object with the keys ``suite``, ``passed``, ``seconds`` and ``detail``.
     """
     out = stream or sys.stdout
     names = list(names or CRITERIA)
     results = []
+    jobs = min(jobs, len(names))
     pool_context = (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
                     else contextlib.nullcontext())
     with pool_context as pool:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -6,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from formulaflow import bounds
-from formulaflow.cli import main
+from formulaflow import bounds, errors, verify
+from formulaflow.cli import DOMAIN_ERRORS, main
 
 
 def run(capsys, *argv):
@@ -336,6 +337,12 @@ def test_missing_weights_file_exits_one(capsys, tmp_path):
     assert err.startswith("error: cannot read weights file")
 
 
+def test_domain_errors_cover_every_library_error():
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, Exception)]
+    assert all(issubclass(c, DOMAIN_ERRORS) for c in classes)
+
+
 def test_bad_jobs_environment_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("FF_JOBS", "abc")
     with pytest.raises(SystemExit) as exc:
@@ -377,6 +384,51 @@ def test_bounds_kfault_family_names_the_domain_budget(capsys):
     assert (code, out) == (1, "")
     assert err == ("error: k-fault enumeration of 2^(2^5) inputs exceeds the domain "
                    "budget of 1048576 inputs\n")
+
+
+@pytest.mark.parametrize("argv, env", [(["--jobs", "0"], "1"), (["--jobs", "-3"], "1"),
+                                       ([], "0")])
+def test_jobs_below_one_is_usage_error(capsys, monkeypatch, argv, env):
+    monkeypatch.setenv("FF_JOBS", env)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "verify", "--suite", "reference-instance"])
+    assert exc.value.code == 2
+    assert "argument --jobs: must be at least 1" in capsys.readouterr().err
+
+
+CHEAP_SUITES = ["reference-instance", "example-families"]
+
+
+def test_run_suite_caps_workers_at_the_suite_count(monkeypatch):
+    # a stand-in pool records its size and runs the suites in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    results = verify.run_suite(CHEAP_SUITES, stream=io.StringIO(), jobs=5000)
+    assert sizes == [2]
+    assert [r.name for r in results] == CHEAP_SUITES and all(r.passed for r in results)
+    verify.run_suite(CHEAP_SUITES[:1], stream=io.StringIO(), jobs=5000)
+    assert sizes == [2]  # one suite runs serially, with no pool
+
+
+def test_run_suite_pool_keeps_the_given_order():
+    out = io.StringIO()
+    results = verify.run_suite(CHEAP_SUITES, stream=out, jobs=2)
+    assert [r.name for r in results] == CHEAP_SUITES and all(r.passed for r in results)
+    assert [line.split()[1] for line in out.getvalue().splitlines()] == CHEAP_SUITES
 
 
 def test_jobs_flag_parallel_verify(capsys):

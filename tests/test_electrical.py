@@ -3,7 +3,7 @@ import hashlib
 import itertools
 import math
 import time
-from collections import defaultdict
+from collections import defaultdict, deque
 from fractions import Fraction
 from functools import partial
 
@@ -49,6 +49,7 @@ from formulaflow import (
 )
 from formulaflow.electrical import (
     _label,
+    _min_cut,
     _parallel,
     _series,
     flow_from_directed,
@@ -607,15 +608,22 @@ def _three_phase_decompose(flow):
     return pieces
 
 
-def _grid(rows, cols, rng):
-    """A weighted rows x cols grid from corner to corner: not series-parallel
-    once both sides exceed one."""
+def _grid_pairs(rows, cols):
+    """The vertices and edge ends of a rows x cols grid from corner "s" to
+    corner "t", and its vertex names."""
     def name(i, j):
         return "s" if (i, j) == (0, 0) else "t" if (i, j) == (rows - 1, cols - 1) else f"{i}.{j}"
     pairs = [(name(i, j), name(a, b)) for i in range(rows) for j in range(cols)
              for a, b in ((i + 1, j), (i, j + 1)) if a < rows and b < cols]
+    return [name(i, j) for i in range(rows) for j in range(cols)], pairs, name
+
+
+def _grid(rows, cols, rng):
+    """A weighted rows x cols grid from corner to corner: not series-parallel
+    once both sides exceed one."""
+    vertices, pairs, _name = _grid_pairs(rows, cols)
     resistances = [Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9))) for _ in pairs]
-    return _network([name(i, j) for i in range(rows) for j in range(cols)], pairs, resistances)
+    return _network(vertices, pairs, resistances)
 
 
 def test_walk_matches_three_phase_reference_on_weighted_grids():
@@ -789,16 +797,131 @@ def test_witness_cut_matches_brute_force(negated_and_weighted):
 
 
 def test_witness_cut_matches_brute_force_on_plain_hosts():
-    # Wheatstone bridge and K4, selected in edge order
+    # Wheatstone bridge, K4, the bridge with a second s-a edge and a 3x3 grid
+    # with one diagonal, selected in edge order
     pairs = [("s", "a"), ("s", "b"), ("a", "b"), ("a", "t"), ("b", "t")]
-    for pairs in (pairs, pairs + [("s", "t")]):
-        net = Network(("s", "a", "b", "t"), "s", "t",
-                      tuple(Edge(u, v, f"e{i}", Fraction(i + 1, 2))
-                            for i, (u, v) in enumerate(pairs)))
-        for x in all_inputs(len(pairs)):
+    vertices, grid, _name = _grid_pairs(3, 3)
+    hosts = [_network("sabt", p, [Fraction(2, i + 1) for i in range(len(p))])
+             for p in (pairs, pairs + [("s", "t")], [("s", "a")] + pairs)]
+    hosts.append(_network(vertices, grid + [("0.1", "1.2")], [1] * (len(grid) + 1)))
+    cuts = 0
+    for net in hosts:
+        for x in all_inputs(len(net.edges)):
             if cut_size(net, x, MAXFLOW) is INF:
                 continue
-            assert witness_cut(net, x).kappa == brute_force_witness_cut(net, x)
+            cut = witness_cut(net, x)
+            assert cut.kappa == brute_force_witness_cut(net, x), x
+            assert len(cut.crossing_edges(net)) == cut_size(net, x, MAXFLOW)
+            cuts += 1
+    assert cuts > 4000
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_cut_counts_parallel_edges_between_two_kept_parts(k):
+    # x1 and the last leaf kept, the OR bank between them absent: the
+    # quotient is two vertices joined by k host edges, and the cut is k
+    bank = [f"x{i + 3}" for i in range(k)]
+    net = formula_graph(parse_formula(f"(x1|x2)&({'|'.join(bank)})&(x{k + 3}|x{k + 4})"))
+    x = (1, 0) + (0,) * k + (0, 1)
+    assert cut_size(net, x, MAXFLOW) == cut_size(net, x, SP_RECURSION) == k
+    cut = witness_cut(net, x)
+    assert cut.kappa == brute_force_witness_cut(net, x)
+    assert [e.label for e in cut.crossing_edges(net)] == bank
+
+
+def _edmonds_karp_min_cut(host, x):
+    """The earlier max-flow cut, kept as a reference: each selected edge has
+    capacity |E| + 1, so no minimum cut crosses one; Edmonds-Karp pushes each
+    path's bottleneck on the whole host, and a second search of the residual
+    finds the s-side."""
+    kept = selector_from_assignment(host, x)
+    if host.t in _label(kept, (host.s,)):
+        return None
+    present = {e.label for e in kept}
+    big = len(host.edges) + 1
+    index = {v: i for i, v in enumerate(host.vertices)}
+    capacity = defaultdict(int)
+    adj = defaultdict(set)
+    for e in host.edges:
+        cap = big if e.label in present else 1
+        iu, iv = index[e.u], index[e.v]
+        capacity[(iu, iv)] += cap
+        capacity[(iv, iu)] += cap
+        adj[iu].add(iv)
+        adj[iv].add(iu)
+    s, t = index[host.s], index[host.t]
+    value = 0
+    while True:
+        parent = {s: None}
+        queue = deque([s])
+        while queue and t not in parent:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in parent and capacity[(u, v)] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if t not in parent:
+            break
+        path, v = [], t
+        while parent[v] is not None:
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min(capacity[arc] for arc in path)
+        for u, v in path:
+            capacity[(u, v)] -= bottleneck
+            capacity[(v, u)] += bottleneck
+        value += bottleneck
+    reach = {s}
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in reach and capacity[(u, v)] > 0:
+                reach.add(v)
+                stack.append(v)
+    return value, {v for v in host.vertices if index[v] in reach}
+
+
+def _cut_grid(rows, cols, rng, diagonals=0.5, deleted=0.0, doubled=0.0):
+    """A unit rows x cols grid from corner to corner, with a random diagonal
+    in a ``diagonals`` share of its cells, a ``deleted`` share of its edges
+    removed and a ``doubled`` share of the rest given a parallel twin."""
+    vertices, pairs, name = _grid_pairs(rows, cols)
+    for i, j in itertools.product(range(rows - 1), range(cols - 1)):
+        if rng.random() < diagonals:
+            pairs.append((name(i, j), name(i + 1, j + 1)) if rng.random() < 0.5
+                         else (name(i + 1, j), name(i, j + 1)))
+    pairs = [p for p in pairs if rng.random() >= deleted]
+    pairs += [p for p in pairs if rng.random() < doubled]
+    return _network(vertices, pairs, [1] * len(pairs))
+
+
+def test_quotient_cut_matches_edmonds_karp_reference():
+    # the same value and the same s-side on dual formula hosts, NAND trees
+    # and grids with diagonals, deleted and parallel edges
+    rng = np.random.default_rng(2525)
+    hosts = []
+    for n in range(2, 11):
+        for _ in range(4):
+            hosts.append(dual_network(random_formula(rng, n)))
+    hosts += [formula_graph(build_nand_tree(d)) for d in range(9)]
+    for rows, cols in itertools.product(range(2, 7), repeat=2):
+        hosts.append(_cut_grid(rows, cols, rng))
+        hosts.append(_cut_grid(rows, cols, rng, deleted=0.15, doubled=0.2))
+    selections = cuts = 0
+    for host in hosts:
+        m = len(host.edges) if host.formula is None else host.formula.n_vars
+        if m <= 6:
+            inputs = list(all_inputs(m))
+        else:
+            inputs = [(0,) * m] + [tuple(int(b) for b in rng.random(m) < p)
+                                   for p in (0.3, 0.5, 0.7) for _ in range(20)]
+        for x in inputs:
+            expected = _edmonds_karp_min_cut(host, x)
+            assert _min_cut(host, x) == expected, x
+            selections += 1
+            cuts += expected is not None
+    assert selections > 1500 and cuts > 700
 
 
 def test_cut_equals_shortest_dual_path():
