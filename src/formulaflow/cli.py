@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 on a domain error (bad formula, disconnected
 terminals, budget exceeded, ...), 2 on a usage error.  Machine-readable
 output is available behind ``--json`` where noted; all randomized commands
-take an explicit ``--seed``.
+take an explicit ``--seed``.  Each handler returns its ``--json`` text and
+its plain text, and :func:`main` prints the one asked for; ``graph`` and
+``verify`` write their own output and return the exit code.
 """
 
 from __future__ import annotations
@@ -108,16 +110,11 @@ def _formula_doc(f) -> str:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args):
     f = parse_formula(args.formula)
-    if args.json:
-        print(f'{{"formula": {json.dumps(render(f))}, "n": {f.n_vars}, '
-              f'"depth": {f.depth()}, "tree": {_formula_doc(f)}}}')
-    else:
-        print("\n".join(_tree_lines(f)))
-        print(f"normalized: {render(f)}")
-        print(f"N={f.n_vars}")
-    return 0
+    return (f'{{"formula": {json.dumps(render(f))}, "n": {f.n_vars}, '
+            f'"depth": {f.depth()}, "tree": {_formula_doc(f)}}}',
+            "\n".join([*_tree_lines(f), f"normalized: {render(f)}", f"N={f.n_vars}"]))
 
 
 def _cmd_graph(args) -> int:
@@ -133,19 +130,14 @@ def _subnet(args, polarity):
                             _load_weights(args.weights), polarity)
 
 
-def _cmd_resist(args) -> int:
-    polarity = DUAL if args.dual else PRIMAL
-    net = _subnet(args, polarity)
+def _cmd_resist(args):
+    net = _subnet(args, DUAL if args.dual else PRIMAL)
     backend = LAPLACIAN if args.float else EXACT_SP
     value = effective_resistance(net, backend)
-    if args.json:
-        print(json.dumps({"resistance": _json_value(value), "backend": backend}))
-    else:
-        print(_fmt(value))
-    return 0
+    return json.dumps({"resistance": _json_value(value), "backend": backend}), _fmt(value)
 
 
-def _cmd_flow(args) -> int:
+def _cmd_flow(args):
     net = _subnet(args, PRIMAL)
     flow, energy = optimal_flow(net)
     pieces = decompose_flow(flow)
@@ -160,44 +152,37 @@ def _cmd_flow(args) -> int:
             for c, kind, edges in pieces
         ],
     }
-    if args.json:
-        print(json.dumps(doc))
-    else:
-        print(f"energy {energy}")
-        for entry in doc["flow"]:
-            print(f"  {entry['label']}: {entry['u']} -> {entry['v']}  {entry['value']}")
-    return 0
+    return json.dumps(doc), "\n".join(
+        [f"energy {energy}",
+         *(f"  {e['label']}: {e['u']} -> {e['v']}  {e['value']}" for e in doc["flow"])])
 
 
-def _cmd_cut(args) -> int:
+def _cmd_cut(args):
     f = parse_formula(args.formula)
     net = formula_graph(f, _load_weights(args.weights))
     backend = SP_RECURSION if args.backend == "sp" else MAXFLOW
     value = cut_size(net, args.x, backend)
     doc = {"cut_size": _fmt(value), "backend": backend}
+    lines = [_fmt(value)]
     if not is_inf(value):
-        kappa = witness_cut(net, args.x)
-        doc["s_side"] = sorted(kappa.s_side())
-    if args.json:
-        print(json.dumps(doc))
-    else:
-        print(_fmt(value))
-        if "s_side" in doc:
-            print("s-side:", " ".join(doc["s_side"]))
-    return 0
+        doc["s_side"] = sorted(witness_cut(net, args.x).s_side())
+        lines.append(f"s-side: {' '.join(doc['s_side'])}")
+    return json.dumps(doc), "\n".join(lines)
 
 
-def _cmd_witness(args) -> int:
+# --kind -> solver
+_WITNESS_KINDS = {
+    "pos": positive_witness,
+    "neg": negative_witness,
+    "approx-pos": approx_positive_witness,
+    "approx-neg": approx_negative_witness,
+}
+
+
+def _cmd_witness(args):
     f = parse_formula(args.formula)
-    weights = _load_weights(args.weights)
-    program = build_span_program(formula_graph(f, weights))
-    handler = {
-        "pos": positive_witness,
-        "neg": negative_witness,
-        "approx-pos": approx_positive_witness,
-        "approx-neg": approx_negative_witness,
-    }[args.kind]
-    report = handler(program, args.x)
+    program = build_span_program(formula_graph(f, _load_weights(args.weights)))
+    report = _WITNESS_KINDS[args.kind](program, args.x)
     doc = {
         "kind": report.kind,
         "size": _json_value(report.size),
@@ -205,21 +190,15 @@ def _cmd_witness(args) -> int:
         "error": _json_value(report.error),
         "residual": report.residual,
     }
-    if args.json:
-        print(json.dumps(doc))
-    else:
-        print(f"{doc['kind']}: size={doc['size']} error={doc['error']}")
-    return 0
+    return json.dumps(doc), f"{doc['kind']}: size={doc['size']} error={doc['error']}"
 
 
-def _cmd_weights(args) -> int:
-    f = parse_formula(args.formula)
-    cert = optimal_weights(f)
-    sys.stdout.write(cert.to_json().decode() + "\n")
-    return 0
+def _cmd_weights(args):
+    text = optimal_weights(parse_formula(args.formula)).to_json().decode()
+    return text, text
 
 
-def _cmd_extrema(args) -> int:
+def _cmd_extrema(args):
     f = parse_formula(args.formula)
     weights = _load_weights(args.weights)
     if 1 << f.n_vars > DOMAIN_CAP:
@@ -234,63 +213,49 @@ def _cmd_extrema(args) -> int:
         "approx_minus": ext.approx_minus,
         "bound": ext.bound,
     }
-    if args.json:
-        print(json.dumps(doc))
-    else:
-        print(f"W+={doc['w_plus']} W-={doc['w_minus']} "
-              f"W~+={doc['approx_plus']} W~-={doc['approx_minus']} "
-              f"bound={doc['bound']}")
-    return 0
+    return json.dumps(doc), (f"W+={doc['w_plus']} W-={doc['w_minus']} "
+                             f"W~+={doc['approx_plus']} W~-={doc['approx_minus']} "
+                             f"bound={doc['bound']}")
 
 
-def _cmd_fault(args) -> int:
+def _cmd_fault(args):
     report = fault_complexity(args.d, args.x)
-    if args.json:
-        print(json.dumps({"f_a": _fmt(report.f_a), "f_b": _fmt(report.f_b),
-                          "f": _fmt(report.f), "winnable": report.winnable}))
-    else:
-        print(f"F_A={_fmt(report.f_a)} F_B={_fmt(report.f_b)} F={_fmt(report.f)}")
-    return 0
+    return (json.dumps({"f_a": _fmt(report.f_a), "f_b": _fmt(report.f_b),
+                        "f": _fmt(report.f), "winnable": report.winnable}),
+            f"F_A={_fmt(report.f_a)} F_B={_fmt(report.f_b)} F={_fmt(report.f)}")
 
 
-def _cmd_kfault(args) -> int:
+def _cmd_kfault(args):
     result = is_k_fault(args.d, args.k, args.x)
-    print(json.dumps({"k_fault": result}) if args.json else str(result).lower())
-    return 0
+    return json.dumps({"k_fault": result}), str(result).lower()
 
 
-def _cmd_game(args) -> int:
+def _cmd_game(args):
     stats = simulate_game(args.d, args.x, seed=args.seed, reps=args.reps,
                           keep_transcripts=args.transcripts or None)
-    if args.json:
-        sys.stdout.write(stats.to_json().decode() + "\n")
-    else:
-        naive = f"{naive_cost(args.d):.4f}" if args.d else _fmt(None)
-        print(f"wins {stats.wins}/{stats.reps}  mean cost {stats.mean_cost:.4f}  "
-              f"bound {stats.bound:.4f}  naive {naive}")
-    return 0
+    naive = f"{naive_cost(args.d):.4f}" if args.d else _fmt(None)
+    return stats.to_json().decode(), (f"wins {stats.wins}/{stats.reps}  "
+                                      f"mean cost {stats.mean_cost:.4f}  "
+                                      f"bound {stats.bound:.4f}  naive {naive}")
 
 
-def _cmd_bounds(args) -> int:
-    params = {}
-    if args.family == "line":
-        params = {"n": args.n, "h": args.h}
-    elif args.family == "balloon":
-        params = {"n": args.n}
-    else:
-        params = {"d": args.d, "k": args.k}
-    fam = bounds_mod.example_family(
-        "nand-kfault" if args.family == "nand" else args.family, **params)
+# --family -> (example family, the flags that set its parameters)
+_FAMILIES = {
+    "line": ("line", ("n", "h")),
+    "balloon": ("balloon", ("n",)),
+    "nand": ("nand-kfault", ("d", "k")),
+}
+
+
+def _cmd_bounds(args):
+    family, params = _FAMILIES[args.family]
+    fam = bounds_mod.example_family(family, **{p: getattr(args, p) for p in params})
     report = bounds_mod.compute_bounds(fam.formula, fam.weights, fam.domain,
                                        unit_weights=args.unit)
-    if args.json:
-        sys.stdout.write(report.to_json().decode() + "\n")
-    else:
-        print(report.to_text())
-    return 0
+    return report.to_json().decode(), report.to_text()
 
 
-def _cmd_product(args) -> int:
+def _cmd_product(args):
     levels = []
     for chunk in args.levels.split(","):
         try:
@@ -302,16 +267,13 @@ def _cmd_product(args) -> int:
             raise ValueError(f"level kind must be and/or, got {kind!r}")
         levels.append((kind, n, h))
     report = bounds_mod.verify_resistance_product(levels)
-    if args.json:
-        sys.stdout.write(report.to_json().decode() + "\n")
-    else:
-        print(f"max R  (1-side) = {report.r_max}")
-        print(f"max R' (0-side) = {report.r_dual_max}")
-        print(f"product         = {report.product}")
-        print(f"expected        = {report.expected}  "
-              f"({'equal' if report.equal else 'MISMATCH'})")
-        print(f"estimate prod(sqrt(N/h)) = {report.quantum_bound:.6f}")
-    return 0
+    return report.to_json().decode(), "\n".join([
+        f"max R  (1-side) = {report.r_max}",
+        f"max R' (0-side) = {report.r_dual_max}",
+        f"product         = {report.product}",
+        f"expected        = {report.expected}  ({'equal' if report.equal else 'MISMATCH'})",
+        f"estimate prod(sqrt(N/h)) = {report.quantum_bound:.6f}",
+    ])
 
 
 def _cmd_verify(args) -> int:
@@ -324,6 +286,38 @@ def _cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+# the arguments several subcommands take: flag -> (its flags, add_argument
+# keywords).  kfault's -k sits here too, so that its required arguments keep
+# their order -d, -k, -x in usage errors.
+_SHARED = {
+    "-f": (("-f", "--formula"), {"required": True,
+                                 "help": "read-once formula, e.g. x1&(x2|~x3)"}),
+    "-x": (("-x",), {"required": True, "help": "assignment bitstring, x1 first"}),
+    "--weights": (("--weights",), {"help": "JSON file mapping labels to rationals"}),
+    "-d": (("-d",), {"type": int, "required": True, "help": "depth of the NAND tree"}),
+    "-k": (("-k",), {"type": int, "required": True}),
+}
+
+# subcommand -> (handler, help line, the shared arguments it takes)
+_COMMANDS = {
+    "parse": (_cmd_parse, "parse and normalize a formula", ("-f",)),
+    "graph": (_cmd_graph, "export the formula network", ("-f", "--weights")),
+    "resist": (_cmd_resist, "effective resistance of the selected subgraph",
+               ("-f", "-x", "--weights")),
+    "flow": (_cmd_flow, "optimal unit flow and its decomposition", ("-f", "-x", "--weights")),
+    "cut": (_cmd_cut, "cut size of the selected subgraph", ("-f", "-x", "--weights")),
+    "witness": (_cmd_witness, "witness sizes of the span program", ("-f", "-x", "--weights")),
+    "weights": (_cmd_weights, "certified near-optimal edge weights", ("-f",)),
+    "extrema": (_cmd_extrema, "witness-size extrema over all inputs", ("-f", "--weights")),
+    "fault": (_cmd_fault, "fault complexity of an instance", ("-d", "-x")),
+    "kfault": (_cmd_kfault, "k-fault membership", ("-d", "-k", "-x")),
+    "game": (_cmd_game, "simulate the two-player game", ("-d", "-x")),
+    "bounds": (_cmd_bounds, "bound figures for an example family", ()),
+    "product": (_cmd_product, "composed resistance-product identity", ()),
+    "verify": (_cmd_verify, "run verification suites", ()),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="formulaflow",
@@ -331,91 +325,40 @@ def _build_parser() -> argparse.ArgumentParser:
                     "resistances, flows, cuts, witness sizes, and games.")
     parser.add_argument("--jobs", type=int,
                         default=os.environ.get("FF_JOBS", "1"),
-                        help="worker count for sweeps (output order is "
+                        help="worker count for verify suites (output order is "
                              "deterministic regardless)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    cmd = {}
+    for name, (handler, help_line, shared) in _COMMANDS.items():
+        p = cmd[name] = sub.add_parser(name, help=help_line)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
+        for flag in shared:
+            flags, kwargs = _SHARED[flag]
+            p.add_argument(*flags, **kwargs)
 
-    p = add("parse", _cmd_parse, help="parse and normalize a formula")
-    p.add_argument("-f", "--formula", required=True)
-
-    p = add("graph", _cmd_graph, help="export the formula network")
-    p.add_argument("-f", "--formula", required=True)
-    p.add_argument("--dual", action="store_true")
-    p.add_argument("--format", choices=("dot", "json"), default="json")
-    p.add_argument("--weights", help="JSON file mapping labels to rationals")
-
-    p = add("resist", _cmd_resist, help="effective resistance of the selected subgraph")
-    p.add_argument("-f", "--formula", required=True)
-    p.add_argument("-x", required=True, help="assignment bitstring, x1 first")
-    p.add_argument("--dual", action="store_true")
-    group = p.add_mutually_exclusive_group()
+    for name in ("graph", "resist"):
+        cmd[name].add_argument("--dual", action="store_true")
+    cmd["graph"].add_argument("--format", choices=("dot", "json"), default="json")
+    group = cmd["resist"].add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true", default=True)
     group.add_argument("--float", action="store_true")
-    p.add_argument("--weights")
-
-    p = add("flow", _cmd_flow, help="optimal unit flow and its decomposition")
-    p.add_argument("-f", "--formula", required=True)
-    p.add_argument("-x", required=True)
-    p.add_argument("--weights")
-
-    p = add("cut", _cmd_cut, help="cut size of the selected subgraph")
-    p.add_argument("-f", "--formula", required=True)
-    p.add_argument("-x", required=True)
-    p.add_argument("--backend", choices=("maxflow", "sp"), default="maxflow")
-    p.add_argument("--weights")
-
-    p = add("witness", _cmd_witness, help="witness sizes of the span program")
-    p.add_argument("-f", "--formula", required=True)
-    p.add_argument("-x", required=True)
-    p.add_argument("--kind", choices=("pos", "neg", "approx-pos", "approx-neg"),
-                   default="pos")
-    p.add_argument("--weights")
-
-    p = add("weights", _cmd_weights, help="certified near-optimal edge weights")
-    p.add_argument("-f", "--formula", required=True)
-
-    p = add("extrema", _cmd_extrema, help="witness-size extrema over all inputs")
-    p.add_argument("-f", "--formula", required=True)
-    p.add_argument("--weights")
-    p.add_argument("--no-approx", action="store_true")
-
-    p = add("fault", _cmd_fault, help="fault complexity of an instance")
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("-x", required=True)
-
-    p = add("kfault", _cmd_kfault, help="k-fault membership")
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-x", required=True)
-
-    p = add("game", _cmd_game, help="simulate the two-player game")
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("-x", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--reps", type=int, default=32)
-    p.add_argument("--transcripts", action="store_true")
-
-    p = add("bounds", _cmd_bounds, help="bound figures for an example family")
-    p.add_argument("--family", choices=("line", "balloon", "nand"), required=True)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--h", type=int, default=None)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--unit", action="store_true", help="force unit weights")
-
-    p = add("product", _cmd_product, help="composed resistance-product identity")
-    p.add_argument("--levels", required=True,
-                   help="comma-separated kind:N:h, e.g. and:4:2,or:3:1")
-
-    p = add("verify", _cmd_verify, help="run verification suites")
-    p.add_argument("--suite", default="all")
-
+    cmd["cut"].add_argument("--backend", choices=("maxflow", "sp"), default="maxflow")
+    cmd["witness"].add_argument("--kind", choices=_WITNESS_KINDS, default="pos")
+    cmd["extrema"].add_argument("--no-approx", action="store_true")
+    cmd["game"].add_argument("--seed", type=int, required=True)
+    cmd["game"].add_argument("--reps", type=int, default=32)
+    cmd["game"].add_argument("--transcripts", action="store_true")
+    bounds = cmd["bounds"]
+    bounds.add_argument("--family", choices=_FAMILIES, required=True)
+    bounds.add_argument("--n", type=int, default=4)
+    bounds.add_argument("--h", type=int, default=None)
+    bounds.add_argument("--d", type=int, default=2)
+    bounds.add_argument("--k", type=int, default=0)
+    bounds.add_argument("--unit", action="store_true", help="force unit weights")
+    cmd["product"].add_argument("--levels", required=True,
+                                help="comma-separated kind:N:h, e.g. and:4:2,or:3:1")
+    cmd["verify"].add_argument("--suite", default="all")
     return parser
 
 
@@ -425,9 +368,12 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     try:
-        code = args.handler(args)
+        result = args.handler(args)
+        if isinstance(result, tuple):
+            print(result[0] if args.json else result[1])
+            result = 0
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-        return code
+        return result
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -75,7 +75,12 @@ from .graphs import (
     selector_from_assignment,
     subgraph,
 )
-from .nand import fault_complexity, simulate_game, subtree_resistance
+from .nand import (
+    fault_complexity,
+    fault_complexity_bruteforce,
+    simulate_game,
+    subtree_resistance,
+)
 from .spanprog import (
     approx_negative_witness,
     approx_negative_witness_reference,
@@ -349,7 +354,9 @@ def check_reference_instance() -> str:
 
 def check_fault_bound() -> str:
     """Exhaustively for depths <= 4: primal resistance <= F_A and dual
-    resistance <= F_B, with an extra factor two at odd depth."""
+    resistance <= F_B, with an extra factor two at odd depth.  For depths
+    <= 3 the fault-complexity recursion must also equal brute-force
+    enumeration of the safe paths."""
     for d in range(5):
         factor = 1 if d % 2 == 0 else 2
         n = 1 << d
@@ -361,7 +368,10 @@ def check_fault_bound() -> str:
             if not ((rep.f_a is INF or r <= factor * rep.f_a)
                     and (rep.f_b is INF or rd <= factor * rep.f_b)):
                 raise SuiteFailure(f"violated at d={d} x={bits}")
-    return "R <= (2)F_A and R' <= (2)F_B exhaustively for depths 0-4"
+            if d <= 3 and rep != fault_complexity_bruteforce(d, bits):
+                raise SuiteFailure(f"recursion != brute force at d={d} x={bits}")
+    return ("R <= (2)F_A and R' <= (2)F_B exhaustively for depths 0-4; "
+            "recursion = brute force for depths 0-3")
 
 
 # ---------------------------------------------------------------------------

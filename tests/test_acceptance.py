@@ -243,6 +243,10 @@ PERTURBATIONS = {
     "reference-instance": (verify, "fault_complexity", _shift_field("f_a", _hair),
                            "value=1, F_A=4000000001/1000000000"),
     "fault-bound": (verify, "subtree_resistance", _plus_hair, "violated at"),
+    # the bound reads F_A and F_B only, so only the brute-force comparison sees it
+    "fault-bound/bruteforce": (verify, "fault_complexity",
+                               _shift_field("winnable", operator.not_),
+                               "recursion != brute force at d=0 x=(0,)"),
     "resistance-product": (bounds, "formula_resistance", _plus_hair, "[('and', 2, 1)]: "),
     "example-families": (bounds, "cut_size", _plus_hair, "line n="),
     "example-families/exponents": (verify, "exponent_fit", _squared_values,

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -520,3 +521,105 @@ def test_closed_stdout_pipe_exits_quietly():
     stderr = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert stderr == b""
+
+
+# ---------------------------------------------------------------------------
+# golden digest of the whole front end
+# ---------------------------------------------------------------------------
+
+# formula -> the inputs its per-input commands run on
+BATTERY_FORMULAS = {
+    "x1": ("0", "1"),
+    "x1&x2": ("11", "10"),
+    "x1|~x2": ("00", "01"),
+    "(x1&x2)|(x3&x4)": ("1100", "0000", "1011"),
+    "(x1|~x2)&x3": ("101", "010"),
+}
+# relative names, so no temporary path reaches the hashed bytes
+BATTERY_WEIGHTS = {
+    "w.json": {"x1": "2", "x2": "1/3", "x3": 5, "x4": "3/2"},
+    "partial.json": {"x1": "2"},
+    "list.json": [1, 2],
+}
+WEIGHT_CHOICES = ((), ("--weights", "w.json"))
+
+
+def _battery():
+    """Every subcommand but ``verify``, each run plain and with ``--json``."""
+    commands = []
+    for f, inputs in BATTERY_FORMULAS.items():
+        commands += [["parse", "-f", f], ["weights", "-f", f]]
+        for w in WEIGHT_CHOICES:
+            commands += [["graph", "-f", f, *flags, *w]
+                         for flags in ((), ("--dual",), ("--format", "dot"),
+                                       ("--dual", "--format", "dot"))]
+            commands += [["extrema", "-f", f, *flags, *w] for flags in ((), ("--no-approx",))]
+            for x in inputs:
+                commands += [["resist", "-f", f, "-x", x, *flags, *w]
+                             for flags in ((), ("--dual", "--exact"), ("--float",),
+                                           ("--dual", "--float"))]
+                commands += [["flow", "-f", f, "-x", x, *w],
+                             ["cut", "-f", f, "-x", x, *w],
+                             ["cut", "-f", f, "-x", x, "--backend", "sp", *w]]
+                commands += [["witness", "-f", f, "-x", x, "--kind", kind, *w]
+                             for kind in ("pos", "neg", "approx-pos", "approx-neg")]
+    for d, x in ((0, "0"), (0, "1"), (1, "10"), (2, "1011"), (2, "0110"),
+                 (4, "1110001100011101")):
+        commands += [["fault", "-d", str(d), "-x", x]]
+        commands += [["kfault", "-d", str(d), "-k", str(k), "-x", x] for k in range(d // 2 + 1)]
+        commands += [["game", "-d", str(d), "-x", x, "--seed", "5", *flags]
+                     for flags in (("--reps", "1"), ("--reps", "3", "--transcripts"))]
+    for family in (("line", "--n", "4"), ("line", "--n", "6", "--h", "3"),
+                   ("balloon", "--n", "3"), ("nand", "--d", "2", "--k", "1"),
+                   ("nand", "--d", "3")):
+        commands += [["bounds", "--family", *family, *unit] for unit in ((), ("--unit",))]
+    commands += [["product", "--levels", levels]
+                 for levels in ("and:2:1,or:2:1", "or:3:2", " and:4:2 , or:2:1",
+                                "nand:2:1", "and:4", "and:2:3")]
+    # exit 1: domain errors
+    commands += [
+        ["parse", "-f", "x1&&x2"], ["parse", "-f", "x0"],
+        ["graph", "-f", "x1&x2", "--weights", "partial.json"],
+        ["graph", "-f", "x1&x2", "--dual", "--weights", "list.json"],
+        ["resist", "-f", "x1&x2", "-x", "1"],
+        ["flow", "-f", "x1&x2", "-x", "10"],
+        ["cut", "-f", "x1&x2", "-x", "111"],
+        ["witness", "-f", "x1&x2", "-x", "11", "--weights", "absent.json"],
+        ["extrema", "-f", "x1&x2", "--weights", "partial.json"],
+        ["fault", "-d", "-1", "-x", "1"], ["fault", "-d", "2", "-x", "10"],
+        ["kfault", "-d", "2", "-k", "2", "-x", "1011"],
+        ["game", "-d", "2", "-x", "1011", "--seed", "1", "--reps", "0"],
+        ["bounds", "--family", "line", "--n", "0"],
+        ["bounds", "--family", "nand", "--d", "5"],
+    ]
+    commands = [[*argv, *json_flag] for argv in commands for json_flag in ((), ("--json",))]
+    # exit 2: usage errors of the top-level parser and of subcommands
+    return commands + [
+        [], ["nonsense"], ["--jobs", "0", "parse", "-f", "x1"],
+        ["parse", "-f", "x1", "--bogus"], ["parse"], ["fault", "-d", "abc", "-x", "1"],
+        ["game", "-d", "2", "-x", "1011"], ["bounds", "--family", "tree"], ["product"],
+        ["extrema", "--json"], ["flow", "-f", "x1", "-x"],
+    ]
+
+
+CLI_DIGEST = "6fb795de29f1bc28e0259fccf8704c86fc8b31d8db22e7f4a199181329fa361c"
+
+
+def test_every_command_matches_the_golden_digest(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("FF_JOBS", "1")
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to this width
+    for name, doc in BATTERY_WEIGHTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    digest = hashlib.sha256()
+    for argv in _battery():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if code == 0 and "--json" in argv and argv[0] != "graph":
+            json.loads(out)
+        digest.update(json.dumps([argv, code, out, err]).encode())
+    assert digest.hexdigest() == CLI_DIGEST

@@ -48,6 +48,7 @@ from formulaflow import (
     witness_cut,
 )
 from formulaflow.electrical import (
+    FlowAssignment,
     _label,
     _min_cut,
     _parallel,
@@ -473,6 +474,18 @@ def test_opposing_flow_decomposes_to_a_path_and_a_cycle():
         (1, "path", [(e1.u, e1.v, "x1")]),
         (Fraction(1, 2), "cycle", [(e1.u, e1.v, "x1"), (e2.v, e2.u, "x2")]),
     ]
+
+
+def test_zero_arcs_on_an_idle_edge_leave_the_decomposition_alone():
+    # the unit path s -> s2 -> t over x1, x2, with x3 idle: zero-valued arcs
+    # stored for x3 are no flow, so they add no (0, "cycle", ...) piece
+    net = formula_graph(parse_formula("(x1&x2)|x3"))
+    e1, e2, e3 = net.edges
+    flow = flow_from_directed({(e1.u, e1.v, e1.label): 1, (e2.u, e2.v, e2.label): 1})
+    idle = FlowAssignment({**flow.values, (e3.u, e3.v, e3.label): Fraction(0),
+                           (e3.v, e3.u, e3.label): Fraction(0)})
+    assert decompose_flow(idle) == decompose_flow(flow) == [
+        (1, "path", [(e1.u, e1.v, "x1"), (e2.u, e2.v, "x2")])]
 
 
 def test_circulation_through_diamonds_decomposes_in_one_walk_each():
@@ -968,6 +981,13 @@ def test_longest_path_budget():
     f = build_nand_tree(5)
     with pytest.raises(SearchBudgetError):
         longest_self_avoiding_path(formula_graph(f))
+
+
+def test_path_enumeration_budget_admits_exactly_budget_edges():
+    net = formula_graph(parse_formula("(x1&x2)|x3"))
+    assert len(simple_st_paths(net, budget=3)) == 2
+    with pytest.raises(SearchBudgetError):
+        simple_st_paths(net, budget=2)
 
 
 def test_longest_path_disconnected_is_zero():
