@@ -26,6 +26,7 @@ from .extended import as_float, is_inf
 from .formula import (
     DOMAIN_CAP,
     Formula,
+    _level_classes,
     all_inputs,
     as_bits,
     build_nand_tree,
@@ -46,15 +47,18 @@ from .nand import _leaf_count, is_k_fault
 class DomainSpec:
     """Enumeration plan for a promise domain.
 
-    ``items`` are (assignment, multiplicity) pairs.  An ``explicit`` domain
-    lists every assignment once; a ``classes`` domain lists one representative
-    per symmetry class, which is exact whenever the tracked quantities are
-    class-invariant.
+    ``items`` are (assignment, multiplicity) pairs, and ``total`` is the sum
+    of the multiplicities.  An ``explicit`` domain lists every assignment
+    once; a ``classes`` domain lists one representative per symmetry class,
+    which is exact whenever the tracked quantities are class-invariant.
     """
 
     kind: str  # "explicit" | "classes"
     items: tuple
-    total: int
+
+    @property
+    def total(self) -> int:
+        return sum(count for _x, count in self.items)
 
     @property
     def exhaustive(self) -> bool:
@@ -62,8 +66,7 @@ class DomainSpec:
 
 
 def explicit_domain(assignments) -> DomainSpec:
-    items = tuple((tuple(a), 1) for a in assignments)
-    return DomainSpec("explicit", items, len(items))
+    return DomainSpec("explicit", tuple((tuple(a), 1) for a in assignments))
 
 
 @dataclass(frozen=True)
@@ -195,14 +198,8 @@ def _line_family(n: int, h: int | None) -> ExampleFamily:
         raise DomainTooLargeError(f"line family has {n} leaves, more than the domain "
                                   f"budget of {DOMAIN_CAP}")
     f = gate("and", [leaf(i + 1) for i in range(n)]) if n > 1 else leaf(1)
-    items = [(tuple([1] * n), 1)]
-    total = 1
-    for weight in range(0, n - h + 1):
-        rep = tuple([1] * weight + [0] * (n - weight))
-        count = math.comb(n, weight)
-        items.append((rep, count))
-        total += count
-    domain = DomainSpec("classes", tuple(items), total)
+    domain = DomainSpec("classes", tuple(  # the classes of and_promise(n, h), by weight
+        (tuple([1] * w + [0] * (n - w)), math.comb(n, w)) for w in _level_classes("and", n, h)))
     return ExampleFamily("line", {"n": n, "h": h}, f, None,
                          formula_graph(f), domain)
 
@@ -217,16 +214,9 @@ def _balloon_family(n: int) -> ExampleFamily:
     f = gate("and", path + [bundle])
     weights = {f"x{i + 1}": Fraction(1) for i in range(n)}
     weights.update({f"x{n + i + 1}": Fraction(1, n) for i in range(n)})
-    items = []
-    total = 0
-    for absent_path in range(n + 1):
-        for present_multi in range(n + 1):
-            path_bits = [1] * (n - absent_path) + [0] * absent_path
-            multi_bits = [1] * present_multi + [0] * (n - present_multi)
-            count = math.comb(n, absent_path) * math.comb(n, present_multi)
-            items.append((tuple(path_bits + multi_bits), count))
-            total += count
-    domain = DomainSpec("classes", tuple(items), total)
+    domain = DomainSpec("classes", tuple(  # a path edges absent, p multi-edges present
+        (tuple([1] * (n - a) + [0] * a + [1] * p + [0] * (n - p)),
+         math.comb(n, a) * math.comb(n, p)) for a in range(n + 1) for p in range(n + 1)))
     return ExampleFamily("balloon", {"n": n}, f, weights,
                          formula_graph(f, weights), domain)
 
@@ -240,11 +230,7 @@ def _nand_kfault_family(d: int, k: int) -> ExampleFamily:
         raise DomainTooLargeError(f"k-fault enumeration of 2^(2^{d}) inputs exceeds "
                                   f"the domain budget of {DOMAIN_CAP} inputs")
     f = build_nand_tree(d)
-    members = []
-    for bits in all_inputs(n):
-        if is_k_fault(d, k, bits):
-            members.append((bits, 1))
-    domain = DomainSpec("explicit", tuple(members), len(members))
+    domain = explicit_domain(bits for bits in all_inputs(n) if is_k_fault(d, k, bits))
     return ExampleFamily("nand-kfault", {"d": d, "k": k}, f, None,
                          formula_graph(f), domain)
 
@@ -317,11 +303,8 @@ def verify_resistance_product(levels) -> ProductReport:
         f, enumerate_composed_domain(levels), eval_formula,
         r=(1, lambda bits: formula_resistance(f, bits)),
         r_dual=(0, lambda bits: formula_resistance(f, bits, dual=True))).values()
-    expected = Fraction(1)
-    quantum = 1.0
-    for _kind, n, h in levels:
-        expected *= Fraction(n, h)
-        quantum *= math.sqrt(n / h)
+    expected = math.prod(Fraction(n, h) for _kind, n, h in levels)
+    quantum = math.prod(math.sqrt(n / h) for _kind, n, h in levels)
     product = r_max * rd_max
     return ProductReport(levels, r_max, rd_max, product, expected,
                          product == expected, quantum, size)

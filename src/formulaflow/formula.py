@@ -23,8 +23,11 @@ groups, so nesting depth is not bounded by Python's recursion limit.
 Assignments are given most-significant-first: character 0 instantiates x1.
 
 Promise domains: an and/or promise is the one-level composed domain
-``((kind, n, h),)``, so membership walks the levels of any non-full domain
-bottom-up.  :func:`side_maxima` is the one sweep behind every domain maximum
+``((kind, n, h),)``.  The level table :func:`_level_classes` maps each child
+weight a level admits to its gate's value; membership, the count and the
+enumeration read it bottom-up.  The enumeration builds each level one weight
+at a time, so it costs what it yields: the 1-inputs, then the 0-inputs.
+:func:`side_maxima` is the one sweep behind every domain maximum
 (``compute_bounds``, ``verify_resistance_product``, ``witness_extrema``), and
 ``DOMAIN_CAP`` (2^20 inputs) is the one budget of the full and composed
 domains they enumerate.
@@ -420,9 +423,13 @@ class PromiseDomain:
     h: int = 0
     levels: tuple = ()
 
+    @cached_property
+    def _chain(self) -> Formula:
+        return composed_formula(self.levels or ((self.kind, self.n, self.h),))
+
     def __post_init__(self):
         if self.kind in (AND_PROMISE, OR_PROMISE):
-            if not 1 <= self.h <= self.n:
+            if not _sizes_ok(self.n, self.h):
                 raise PromiseMismatchError("promise requires 1 <= h <= N")
         elif self.kind == COMPOSED:
             object.__setattr__(self, "levels", _checked_levels(self.levels))
@@ -446,26 +453,27 @@ def composed_domain(levels) -> PromiseDomain:
     return PromiseDomain(COMPOSED, levels=levels)
 
 
+def _sizes_ok(n, h) -> bool:  # ints, not bools, with 1 <= h <= n
+    return type(n) is type(h) is int and 1 <= h <= n
+
+
 def _checked_levels(levels) -> tuple:
-    """``levels`` as ``(kind, N, h)`` tuples, each and/or with N >= 2, 1 <= h <= N."""
+    """``levels`` as ``(kind, N, h)`` tuples, each and/or with int N >= 2, 1 <= h <= N."""
     levels = tuple(tuple(level) for level in levels)
     for level in levels:
         kind, n, h = level if len(level) == 3 else (None, 0, 0)
-        if kind not in (AND_PROMISE, OR_PROMISE) or not 1 <= h <= n or n < 2:
+        if kind not in (AND_PROMISE, OR_PROMISE) or not _sizes_ok(n, h) or n < 2:
             raise PromiseMismatchError(f"bad level ({', '.join(map(str, level))})")
     return levels
 
 
-def _weight_ok(kind: str, n: int, h: int, weight: int) -> bool:
+def _level_classes(kind: str, n: int, h: int) -> dict:
+    """The level table: each weight (count of 1-valued children) that a
+    ``(kind, n, h)`` gate admits, in increasing order, mapped to the value
+    the gate outputs on it."""
     if kind == AND_PROMISE:
-        return weight == n or weight <= n - h
-    return weight == 0 or weight >= h
-
-
-def _gate_value(kind: str, weight: int, n: int) -> int:
-    if kind == AND_PROMISE:
-        return 1 if weight == n else 0
-    return 1 if weight > 0 else 0
+        return {w: int(w == n) for w in (*range(n - h + 1), n)}
+    return {w: int(w > 0) for w in (0, *range(h, n + 1))}
 
 
 def composed_formula(levels) -> Formula:
@@ -487,14 +495,14 @@ def promise_membership(dom: PromiseDomain, f: Formula, x) -> bool:
         as_bits(x, f.n_vars)
         return True
     levels = dom.levels or ((dom.kind, dom.n, dom.h),)
-    if f != composed_formula(levels):
+    if f != dom._chain:
         raise PromiseMismatchError("formula does not match the composed level structure")
     values = as_bits(x, f.n_vars)
     for kind, n, h in reversed(levels):  # bottom-up: blocks of n values become gate values
-        weights = [sum(values[i:i + n]) for i in range(0, len(values), n)]
-        if not all(_weight_ok(kind, n, h, w) for w in weights):
+        classes = _level_classes(kind, n, h)
+        values = [classes.get(sum(values[i:i + n])) for i in range(0, len(values), n)]
+        if None in values:
             return False
-        values = [_gate_value(kind, w, n) for w in weights]
     return True
 
 
@@ -505,40 +513,34 @@ def count_composed_domain(levels) -> int:
     levels = _checked_levels(levels)
     if math.prod(n for _kind, n, _h in levels) > DOMAIN_CAP:
         raise DomainTooLargeError(f"composed structure has more than {DOMAIN_CAP} leaves")
-    ones, zeros = 1, 1  # counts for a single raw bit
+    counts = [1, 1]  # strings of gate value 0, 1 for a single raw bit
     for kind, n, h in reversed(levels):
-        n1 = n0 = 0
-        for w in range(n + 1):
-            if not _weight_ok(kind, n, h, w):
-                continue
-            count = math.comb(n, w) * ones**w * zeros**(n - w)
-            if _gate_value(kind, w, n):
-                n1 += count
-            else:
-                n0 += count
-        ones, zeros = n1, n0
-    return ones + zeros
+        zeros, ones = counts
+        counts = [0, 0]
+        for w, value in _level_classes(kind, n, h).items():
+            counts[value] += math.comb(n, w) * ones**w * zeros**(n - w)
+    return sum(counts)
 
 
 def enumerate_composed_domain(levels):
-    """Yield every assignment (as a bit tuple) of the composed promise domain.
-
+    """Yield every assignment (as a bit tuple) of the composed promise domain:
+    the 1-inputs, then the 0-inputs, each grouped by the root's child weight
+    in increasing order.  The cost grows with the inputs yielded, not 2^N.
     Raises :class:`DomainTooLargeError` when the domain exceeds ``DOMAIN_CAP``.
     """
     levels = _checked_levels(levels)
     if count_composed_domain(levels) > DOMAIN_CAP:
         raise DomainTooLargeError("composed domain exceeds the exhaustive budget")
-    strings = [((1,), 1), ((0,), 0)]  # (bits, value) for a raw bit
+    strings = ([(0,)], [(1,)])  # the bit strings of gate value 0, 1 for a raw bit
     for kind, n, h in reversed(levels):
-        nxt = []
-        for combo in itertools.product(strings, repeat=n):
-            weight = sum(value for _, value in combo)
-            if _weight_ok(kind, n, h, weight):
-                bits = tuple(itertools.chain.from_iterable(b for b, _ in combo))
-                nxt.append((bits, _gate_value(kind, weight, n)))
-        strings = nxt
-    for bits, _value in strings:
-        yield bits
+        grown = ([], [])
+        for w, value in _level_classes(kind, n, h).items():
+            for ones in map(set, itertools.combinations(range(n), w)):  # the 1-valued children
+                grown[value].extend(
+                    tuple(itertools.chain.from_iterable(parts))
+                    for parts in itertools.product(*(strings[i in ones] for i in range(n))))
+        strings = grown
+    yield from strings[1] + strings[0]
 
 
 def side_maxima(f: Formula, inputs, value, **tracked) -> dict:

@@ -37,6 +37,9 @@ def test_line_domain_counts_promise():
     fam = example_family("line", n=4, h=2)
     # |x|=4 plus |x| <= 2: 1 + (1 + 4 + 6)
     assert fam.domain.total == 12
+    # the classes of and_promise(4, 2), by weight: all-ones last
+    assert fam.domain.items == (((0, 0, 0, 0), 1), ((1, 0, 0, 0), 4), ((1, 1, 0, 0), 6),
+                                ((1, 1, 1, 1), 1))
 
 
 def test_balloon_family_figures():
@@ -202,6 +205,16 @@ def test_line_family_checks_its_leaf_count_before_building(monkeypatch):
                            match="line family has 11 leaves, more than the domain budget of 10"):
             example_family("line", n=11, h=11)
     assert example_family("line", n=10, h=10).formula.n_vars == 10
+
+
+def test_kfault_family_refuses_exactly_the_trees_past_the_budget(monkeypatch):
+    # d = 2 has 2^4 = 16 inputs: inside a budget of 16, past one of 15
+    monkeypatch.setattr(bounds, "DOMAIN_CAP", 16)
+    assert example_family("nand-kfault", d=2, k=1).domain.total == 16
+    monkeypatch.setattr(bounds, "DOMAIN_CAP", 15)
+    with pytest.raises(DomainTooLargeError, match=r"2\^\(2\^2\) inputs exceeds the domain "
+                                                  r"budget of 15 inputs"):
+        example_family("nand-kfault", d=2, k=1)
 
 
 def test_product_domain_cap():

@@ -1,15 +1,20 @@
+import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from formulaflow import bounds, errors, verify
 from formulaflow.cli import DOMAIN_ERRORS, main
+from formulaflow.formula import count_composed_domain
 
 
 def run(capsys, *argv):
@@ -477,6 +482,39 @@ def test_product_checks_the_cap_before_building(capsys, levels):
     assert (code, out) == (1, "")
     assert err == "error: domain has more than 1048576 points\n"
     assert "Exceeds the limit" not in err and "Traceback" not in err
+
+
+@st.composite
+def _level_chunks(draw):
+    """One chunk of a ``--levels`` string: kind:N:h with N <= 100 and
+    h <= N + 1 (small N and 1 <= h <= N drawn often, so that more examples
+    stay small and pass), or, about one time in eight, a malformed chunk."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(["xor:2:1", "and:4", "and:2.5:1", "or:3:1.5", "",
+                                     "or:x:2", "and:3:2:1", "AND:2:1", "or:3:True"]))
+    n = draw(st.one_of(st.integers(2, 8), st.integers(0, 100)))
+    h = draw(st.one_of(st.integers(1, max(n, 1)), st.sampled_from([0, n, n + 1])))
+    return f"{draw(st.sampled_from(['and', 'or']))}:{n}:{h}"
+
+
+@given(st.lists(_level_chunks(), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_product_on_fuzzed_levels_ends_in_an_exit_code(chunks):
+    levels = [tuple(int(v) if v.isdigit() else v for v in c.split(":")) for c in chunks
+              if re.fullmatch(r"(and|or):\d+:\d+", c)]
+    assume(math.prod(n for _kind, n, _h in levels) <= 2**8)
+    if len(levels) == len(chunks):
+        with contextlib.suppress(errors.PromiseMismatchError):
+            assume(count_composed_domain(levels) <= 2**8)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["product", "--levels", ",".join(chunks)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (chunks, code)
+    assert code != 0 or "(equal)" in out.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_verify_single_suite(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import re
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from formulaflow import (
     render,
     verify_resistance_product,
 )
+from formulaflow import formula as formula_mod
 from formulaflow.errors import (
     AssignmentLengthError,
     DomainTooLargeError,
@@ -325,6 +327,13 @@ def test_single_gate_promise_is_a_one_level_domain():
         promise_membership(and_promise(1, 1), leaf(1), "1")
 
 
+@pytest.mark.parametrize("n, h", [(4, 1.5), (2.0, 1), (3, True), (True, True), ("3", 1)])
+@pytest.mark.parametrize("promise", [and_promise, or_promise])
+def test_promise_sizes_must_be_ints(promise, n, h):
+    with pytest.raises(PromiseMismatchError, match=r"^promise requires 1 <= h <= N$"):
+        promise(n, h)
+
+
 def test_full_domain_accepts_everything():
     f = build_nand_tree(2)
     dom = full_domain(4)
@@ -351,12 +360,69 @@ def test_enumerate_composed_domain_matches_membership():
     assert len(enumerated) == 16  # h=1 promises are vacuous here
 
 
+def _chains():
+    """Every chain of 1 to 3 and/or levels with N in {2, 3, 4}, every h, and
+    at most 12 leaves."""
+    for depth in (1, 2, 3):
+        for kinds in itertools.product(("and", "or"), repeat=depth):
+            for ns in itertools.product((2, 3, 4), repeat=depth):
+                if np.prod(ns) <= 12:
+                    for hs in itertools.product(*(range(1, n + 1) for n in ns)):
+                        yield list(zip(kinds, ns, hs))
+
+
+def test_enumeration_is_the_counted_promised_set_without_repeats():
+    chains = list(_chains())
+    assert len(chains) == 630
+    for levels in chains:
+        f, dom = composed_formula(levels), composed_domain(levels)
+        enumerated = list(enumerate_composed_domain(levels))
+        assert len(set(enumerated)) == len(enumerated), levels
+        assert set(enumerated) == {x for x in all_inputs(f.n_vars)
+                                   if promise_membership(dom, f, x)}, levels
+        assert len(enumerated) == count_composed_domain(levels), levels
+
+
+def test_enumeration_yields_the_1_inputs_then_the_0_inputs_by_weight():
+    levels = [("or", 3, 2)]
+    assert list(enumerate_composed_domain(levels)) == [
+        (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (0, 0, 0)]
+    f = composed_formula([("and", 2, 1), ("or", 2, 1)])
+    values = [eval_formula(f, x) for x in enumerate_composed_domain(
+        [("and", 2, 1), ("or", 2, 1)])]
+    assert values == sorted(values, reverse=True) and values.count(1) == 9
+
+
+@pytest.mark.parametrize("levels", [[("or", 64, 64)], [("and", 256, 256), ("or", 256, 256)]])
+def test_tight_wide_structures_enumerate_in_time_with_their_count(levels):
+    # an all-or-nothing promise keeps two inputs, whatever the leaf count
+    start = time.perf_counter()
+    enumerated = list(enumerate_composed_domain(levels))
+    assert time.perf_counter() - start < 1.0
+    assert len(enumerated) == count_composed_domain(levels) == 2
+    n = np.prod([n for _kind, n, _h in levels])
+    assert sorted(enumerated) == [(0,) * n, (1,) * n]
+
+
+def test_enumeration_admits_a_domain_of_exactly_the_budget(monkeypatch):
+    # or(2, 1) keeps all 4 inputs of its 2 leaves
+    monkeypatch.setattr(formula_mod, "DOMAIN_CAP", 4)
+    assert len(list(enumerate_composed_domain([("or", 2, 1)]))) == 4
+    monkeypatch.setattr(formula_mod, "DOMAIN_CAP", 3)
+    with pytest.raises(DomainTooLargeError, match="^composed domain exceeds the exhaustive budget$"):
+        list(enumerate_composed_domain([("or", 2, 1)]))
+
+
 @pytest.mark.parametrize("level, shown", [
     (("and", 2, 3), "(and, 2, 3)"),
     (("or", 3, 0), "(or, 3, 0)"),
     (("and", 1, 1), "(and, 1, 1)"),
     (("xor", 2, 1), "(xor, 2, 1)"),
     (("and", 4), "(and, 4)"),
+    (("and", 2.5, 1), "(and, 2.5, 1)"),
+    (("and", 3, 1.5), "(and, 3, 1.5)"),
+    (("or", 3, True), "(or, 3, True)"),
+    (("or", True, 1), "(or, True, 1)"),
 ])
 @pytest.mark.parametrize("call", [
     composed_domain,
