@@ -259,8 +259,8 @@ def _cmd_product(args):
     levels = []
     for chunk in args.levels.split(","):
         try:
-            kind, n, h = chunk.strip().split(":")
-            n, h = int(n), int(h)
+            kind, n, h = chunk.split(":")
+            kind, n, h = kind.strip(), int(n), int(h)
         except ValueError:
             raise ValueError(f"level {chunk.strip()!r} is not kind:N:h with integers N, h") from None
         if kind not in ("and", "or"):

@@ -18,8 +18,8 @@ Three mutually cross-checking resistance routes work on the network:
 
 The exact routes compute on reduced ``(numerator, denominator)`` int pairs,
 one ``math.gcd`` per operation, and build a ``Fraction`` only for a value
-they return: the reduction merges resistors with the fold's :func:`_series`
-and :func:`_parallel`, and :func:`flow_energy` sums theta^2 / c.
+they return: the reduction merges resistors with :func:`_series` and
+:func:`_parallel`, and :func:`flow_energy` sums theta^2 / c.
 
 Flows: :func:`_unit_flow` forms each current c * (p(u) - p(v)) of the unit
 s-t flow from the kernel's potentials, once, for :func:`optimal_flow` and
@@ -28,12 +28,13 @@ net outflow in one pass for :func:`check_unit_flow` and
 :func:`decompose_flow`, whose one greedy walk splits any unit flow into
 paths and cycles with positive coefficients.
 
-:func:`formula_resistance` never builds the network: it folds the formula
-tree with :func:`.formula.fold` over reduced ``(numerator, denominator)``
-pairs of ints, ``(1, 0)`` marking an open branch.  AND adds resistances in
-series and OR adds conductances in parallel (swapped for the dual), with one
-``math.gcd`` per gate; only the root builds a ``Fraction``, or ``INF``.  Cut
-sizes come from a fold over (min, +) and from one max-flow routine that
+:func:`_live_side` never builds the network: one post-order walk gives an
+input's value and, over reduced ``(numerator, denominator)`` int pairs with
+one ``math.gcd`` per gate, the resistance of the network that value connects
+(the primal on a 1-input, the dual on a 0-input).  The domain sweeps call it
+once per input; :func:`formula_resistance` asks it for one side, and it then
+skips the other side's arithmetic.  Cut sizes come from a fold over (min, +)
+and from one max-flow routine that
 :func:`cut_size` and :func:`witness_cut` share: unit augmentations on the
 host's quotient by the components of the edges that
 :func:`.graphs.selector_from_assignment` keeps, where one residual search
@@ -56,7 +57,7 @@ from .errors import (
     SearchBudgetError,
 )
 from .extended import INF
-from .formula import Formula, as_bits, fold
+from .formula import OR, Formula, as_bits, fold
 from .graphs import Network, _leaf_weight, selector_from_assignment
 
 EXACT_SP = "exact-sp"
@@ -216,26 +217,52 @@ def _parallel(pairs) -> tuple:
     return p, q
 
 
-def formula_resistance(f: Formula, x, weights=None, dual: bool = False):
-    """Exact resistance of the input-selected formula network, by tree fold.
+def _leaf_pairs(f: Formula, weights) -> list:
+    """Each leaf's ``((0, R'), (1, R))`` for :func:`_live_side`, every weight checked."""
+    if not weights:
+        return [((0, 1, 1), (1, 1, 1))] * f.n_vars
+    pairs = [_leaf_weight(weights, f"x{v}") for v in range(f.first_var, f.first_var + f.n_vars)]
+    return [((0, p, q), (1, q, p)) for p, q in pairs]
 
-    With ``dual=True`` this is the resistance of the dual network on the
-    complementary selection, i.e. the quantity paired with the primal one by
-    the structural duality.  Weights map labels to positive rationals
-    (default ones); the dual fold uses their reciprocals automatically.
-    """
-    bits = as_bits(x, f.n_vars)
+
+def _live_side(f: Formula, pairs, bits, want=None) -> tuple:
+    """``(value, R)`` of ``f`` on ``bits`` in one walk, R the resistance of the network
+    ``value`` connects: a gate adds its children of its own value, in series when that
+    is all of them, else in parallel, and is left open if its value is not ``want``."""
     first = f.first_var
-    absent = 1 if dual else 0
+    stack = []  # (value, p, q) per finished subtree: its live side's R = p / q
+    for g in f._order:
+        if not g.children:
+            i = g.var - first
+            stack.append(pairs[i][bits[i] ^ g.negated])
+            continue
+        kids = stack[-len(g.children):]
+        del stack[-len(kids):]
+        d = 1 if g.kind == OR else 0  # the value that any one child gives the gate
+        v, p, q = 1 - d, 0, 1
+        for u, a, b in kids:  # the conductances of the children of value d add
+            if u == d:
+                v, p, q = d, p * a + b * q, q * a
+        if want is not None and v != want:  # left open
+            p, q = 1, 0
+        elif v == d:  # in parallel
+            p, q = q, p
+        else:  # in series
+            for _u, a, b in kids:
+                p, q = p * b + a * q, q * b
+        c = math.gcd(p, q)
+        stack.append((v, p // c, q // c))
+    v, p, q = stack[0]
+    return v, Fraction(p, q) if q else INF
 
-    def leaf(g: Formula):
-        if bits[g.var - first] ^ g.negated == absent:
-            return 1, 0
-        p, q = _leaf_weight(weights, f"x{g.var}")
-        return (p, q) if dual else (q, p)
 
-    p, q = fold(f, leaf, _parallel, _series) if dual else fold(f, leaf, _series, _parallel)
-    return Fraction(p, q) if q else INF
+def formula_resistance(f: Formula, x, weights=None, dual: bool = False):
+    """Exact resistance of the input-selected formula network, or with ``dual=True``
+    of the dual network on the complementary selection (``INF`` when the input connects
+    the other one); weights map labels to positive rationals, the dual's reciprocal."""
+    want = 0 if dual else 1
+    value, r = _live_side(f, _leaf_pairs(f, weights), as_bits(x, f.n_vars), want)
+    return r if value == want else INF
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,9 @@ Promise domains: an and/or promise is the one-level composed domain
 weight a level admits to its gate's value; membership, the count and the
 enumeration read it bottom-up.  The enumeration builds each level one weight
 at a time, so it costs what it yields: the 1-inputs, then the 0-inputs.
-:func:`side_maxima` is the one sweep behind every domain maximum
-(``compute_bounds``, ``verify_resistance_product``, ``witness_extrema``), and
-``DOMAIN_CAP`` (2^20 inputs) is the one budget of the full and composed
-domains they enumerate.
+:func:`side_maxima` is the one sweep behind every domain maximum, asking
+each input's value and connected-side resistance once, and ``DOMAIN_CAP``
+(2^20 inputs) is the one budget of the full and composed domains it reads.
 """
 
 from __future__ import annotations
@@ -355,11 +354,15 @@ def fold(f: Formula, leaf, at_and, at_or):
     return values[0]
 
 
-def eval_formula(f: Formula, x) -> int:
-    """Evaluate ``f`` on assignment ``x`` (bit i instantiates x_{i+1})."""
+def _canonical(f: Formula) -> Formula:
     if f.first_var != 1:
         raise FormulaError("evaluation needs a canonically numbered formula")
-    bits = as_bits(x, f.n_vars)
+    return f
+
+
+def eval_formula(f: Formula, x) -> int:
+    """Evaluate ``f`` on assignment ``x`` (bit i instantiates x_{i+1})."""
+    bits = as_bits(x, _canonical(f).n_vars)
     return fold(f, lambda g: bits[g.var - 1] ^ g.negated, min, max)
 
 
@@ -543,23 +546,19 @@ def enumerate_composed_domain(levels):
     yield from strings[1] + strings[0]
 
 
-def side_maxima(f: Formula, inputs, value, **tracked) -> dict:
-    """One sweep over ``inputs`` (bit tuples) for several maxima at once.
-
-    Each ``name=(side, fn)`` gets ``(max fn(bits), first input attaining it)``
-    over the inputs with ``value(f, bits) == side``, or ``(None, None)`` when
-    that side is empty.
-    """
+def side_maxima(inputs, side, **tracked) -> dict:
+    """One sweep over ``inputs`` (bit tuples): ``side(bits)`` gives each input's
+    ``(value, r)`` once, and each ``name=(value, fn)`` gets ``(max fn(bits, r),
+    first input attaining it)`` over the inputs of that value, or ``(None, None)``."""
     best = dict.fromkeys(tracked, (None, None))
-    by_side = ([], [])  # (name, fn) pairs tracked over the 0-inputs, the 1-inputs
-    for name, (side, fn) in tracked.items():
-        by_side[side].append((name, fn))
     for bits in inputs:
-        for name, fn in by_side[value(f, bits)]:
-            v = fn(bits)
-            top = best[name][0]
-            if top is None or v > top:
-                best[name] = (v, bits)
+        value, r = side(bits)
+        for name, (on, fn) in tracked.items():
+            if on == value:
+                v = fn(bits, r)
+                top = best[name][0]
+                if top is None or v > top:
+                    best[name] = (v, bits)
     return best
 
 

@@ -178,14 +178,15 @@ def _leaf_weight(weights, label: str) -> tuple:
     one when ``weights`` is empty, else its entry, which must be positive."""
     if not weights:
         return 1, 1
-    if label not in weights:
-        raise ValueError(f"weights give no value for label {label!r}")
-    w = weights[label]
+    w = weights.get(label)
     if type(w) is not Fraction:
+        if label not in weights:
+            raise ValueError(f"weights give no value for label {label!r}")
         w = Fraction(w)
-    if w.numerator <= 0:
+    p, q = w.as_integer_ratio()
+    if p <= 0:
         raise ValueError(f"edge {label!r} needs a positive rational weight")
-    return w.numerator, w.denominator
+    return p, q
 
 
 def _formula_network(f: Formula, weight, s: str, t: str) -> Network:

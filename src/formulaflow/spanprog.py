@@ -33,14 +33,16 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .electrical import GroundedLaplacian, _label, _unit_flow, formula_resistance, grounded_laplacian
+# perfbench/tracing.py patches eval_formula and formula_resistance here: keep them imported
+from .electrical import (GroundedLaplacian, _label, _leaf_pairs, _live_side, _unit_flow,
+                         formula_resistance, grounded_laplacian)
 from .errors import DisconnectedError
 from .extended import INF, as_float
-from .formula import AND, Formula, as_bits, eval_formula, side_maxima
+from .formula import AND, Formula, _canonical, as_bits, eval_formula, side_maxima
 from .graphs import Edge, Network, selector_from_assignment
 
 POSITIVE = "positive"
@@ -348,23 +350,22 @@ def witness_extrema(program: SpanProgram, domain, f: Formula,
 
     Positive kinds are maximized over 1-inputs, negative kinds over
     0-inputs.  An empty side leaves its maxima as None.  Exact sizes come
-    from the formula fold when the host is formula-derived, otherwise from
-    the definitional solvers.
+    from one live-side walk per input when the host is formula-derived,
+    otherwise from the definitional solvers.
     """
     net = program.network
-    weights = net.weight_map()
     if net.formula is not None and net.formula == f:
-        exact = (lambda bits: formula_resistance(f, bits, weights) / 2,
-                 lambda bits: 2 * formula_resistance(f, bits, weights, dual=True))
+        side = partial(_live_side, f, _leaf_pairs(_canonical(f), net.weight_map()))
+        exact = (lambda _bits, r: r / 2, lambda _bits, r: 2 * r)
     else:
-        exact = (lambda bits: positive_witness(program, bits).size,
-                 lambda bits: negative_witness(program, bits).size)
+        side = lambda bits: (eval_formula(f, bits), None)
+        exact = (lambda bits, _r: positive_witness(program, bits).size,
+                 lambda bits, _r: negative_witness(program, bits).size)
     approx = {}
     if include_approx:
-        approx = {"a_plus": (1, lambda bits: approx_positive_witness(program, bits).size),
-                  "a_minus": (0, lambda bits: approx_negative_witness(program, bits).size)}
-    # perfbench/tracing.py patches eval_formula and the lambdas' callees here: keep them imported
-    best = side_maxima(f, (as_bits(x, f.n_vars) for x in domain), eval_formula,
+        approx = {"a_plus": (1, lambda bits, _r: approx_positive_witness(program, bits).size),
+                  "a_minus": (0, lambda bits, _r: approx_negative_witness(program, bits).size)}
+    best = side_maxima((as_bits(x, f.n_vars) for x in domain), side,
                        w_plus=(1, exact[0]), w_minus=(0, exact[1]), **approx)
     (w_plus, attain_plus), (w_minus, attain_minus) = best["w_plus"], best["w_minus"]
     a_plus, a_minus = (best.get(name, (None, None))[0] for name in ("a_plus", "a_minus"))

@@ -132,6 +132,14 @@ def _plus_hair(fn):
     return lambda *args, **kwargs: _hair(fn(*args, **kwargs))
 
 
+def _r_plus_hair(fn):
+    # the live-side walk's (value, R) with R a hair off
+    def wrapped(*args, **kwargs):
+        value, r = fn(*args, **kwargs)
+        return value, _hair(r)
+    return wrapped
+
+
 def _shift_field(field, shift):
     """Wrap a route so that ``field`` of its dataclass result is shifted."""
     def wrap(fn):
@@ -247,14 +255,14 @@ PERTURBATIONS = {
     "fault-bound/bruteforce": (verify, "fault_complexity",
                                _shift_field("winnable", operator.not_),
                                "recursion != brute force at d=0 x=(0,)"),
-    "resistance-product": (bounds, "formula_resistance", _plus_hair, "[('and', 2, 1)]: "),
+    "resistance-product": (bounds, "_live_side", _r_plus_hair, "[('and', 2, 1)]: "),
     "example-families": (bounds, "cut_size", _plus_hair, "line n="),
     "example-families/exponents": (verify, "exponent_fit", _squared_values,
                                    "line exponents 1.000/0.500"),
     "example-families/balloon": (verify, "compute_bounds",
                                  _unit_weights_only(_shift_field("r_max", _hair)),
                                  "balloon n=4"),
-    "bound-dominance": (bounds, "formula_resistance", _plus_hair, "ordering violated"),
+    "bound-dominance": (bounds, "_live_side", _r_plus_hair, "ordering violated"),
     "game-strategy": (verify, "simulate_game",
                       _shift_field("wins", lambda wins: wins - 1), "d=2: lost 1 games"),
     # the ceiling is about 50x the mean cost, so the route misreports its own check

@@ -2,18 +2,45 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from formulaflow import (
+    DUAL,
+    EXACT_SP,
+    MAXFLOW,
+    PRIMAL,
     build_nand_tree,
+    build_span_program,
     compute_bounds,
+    cut_size,
+    dual_network,
+    effective_resistance,
+    eval_formula,
     example_family,
     exponent_fit,
+    formula_graph,
+    gate,
+    leaf,
+    random_formula,
+    selector_from_assignment,
+    subgraph,
     verify_resistance_product,
+    witness_extrema,
 )
 from formulaflow import bounds
 from formulaflow.bounds import _check_class_count, explicit_domain
-from formulaflow.errors import DomainTooLargeError
+from formulaflow.errors import DomainTooLargeError, FormulaError
+from formulaflow.formula import (
+    AND,
+    OR,
+    Formula,
+    all_inputs,
+    composed_formula,
+    count_composed_domain,
+    enumerate_composed_domain,
+    fold,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +282,91 @@ def test_compute_bounds_accepts_network():
     assert via_formula.r_max == via_network.r_max == 4
     assert via_formula.r_dual_max == via_network.r_dual_max
     assert via_formula.c_max == via_network.c_max
+
+
+# ---------------------------------------------------------------------------
+# domain sweeps against a brute-force loop over independent routes
+# ---------------------------------------------------------------------------
+
+def _random_instance(rng, n):
+    """A random formula on ``n`` variables with negated leaves and weights."""
+    f = random_formula(rng, n) if n > 1 else leaf(1)
+    negated = [bool(b) for b in rng.integers(0, 2, n)]
+    f = fold(f, lambda g: leaf(g.var, negated[g.var - 1]),
+             lambda parts: gate(AND, parts), lambda parts: gate(OR, parts))
+    weights = {f"x{i + 1}": Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 10)))
+               for i in range(n)}
+    return f, weights
+
+
+def _brute_maxima(f, inputs, weights):
+    """(max, first input attaining it) of R over the 1-inputs and of R' and the
+    unit cut over the 0-inputs, in the order given: each value from
+    ``eval_formula``, each resistance from series-parallel reduction of the
+    selected network, each cut from max-flow."""
+    hosts = {1: (formula_graph(f, weights), PRIMAL), 0: (dual_network(f, weights), DUAL)}
+    unit = formula_graph(f)
+    best = {"r": (None, None), "r_dual": (None, None), "c": (None, None)}
+    for x in inputs:
+        value = eval_formula(f, x)
+        host, polarity = hosts[value]
+        found = {"r" if value else "r_dual":
+                 effective_resistance(subgraph(host, selector_from_assignment(host, x, polarity)),
+                                      EXACT_SP)}
+        if not value:
+            found["c"] = cut_size(unit, x, MAXFLOW)
+        for name, v in found.items():
+            if best[name][0] is None or v > best[name][0]:
+                best[name] = (v, x)
+    return best
+
+
+def _shuffled_inputs(rng, inputs):
+    inputs = list(inputs)
+    return [inputs[i] for i in rng.permutation(len(inputs))]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_sweeps_match_a_brute_force_loop_on_random_formulas(seed):
+    rng = np.random.default_rng([seed, 30])
+    f, weights = _random_instance(rng, 1 + seed % 7)
+    inputs = _shuffled_inputs(rng, all_inputs(f.n_vars))
+    best = _brute_maxima(f, inputs, weights)
+    rep = compute_bounds(f, weights, explicit_domain(inputs))
+    assert (rep.r_max, rep.attain_r) == best["r"]
+    assert (rep.r_dual_max, rep.attain_r_dual) == best["r_dual"]
+    assert (rep.c_max, rep.attain_c) == best["c"]
+    ext = witness_extrema(build_span_program(formula_graph(f, weights)), inputs, f,
+                          include_approx=False)
+    (r, attain_r), (rd, attain_rd) = best["r"], best["r_dual"]
+    assert (ext.w_plus, ext.attain_plus) == (None if r is None else r / 2, attain_r)
+    assert (ext.w_minus, ext.attain_minus) == (None if rd is None else 2 * rd, attain_rd)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_sweeps_match_a_brute_force_loop_on_composed_domains(seed):
+    rng = np.random.default_rng([seed, 31])
+    while True:
+        levels = [(str(rng.choice(["and", "or"])), int(n), int(rng.integers(1, n + 1)))
+                  for n in rng.integers(2, 5, 1 + seed % 3)]
+        if count_composed_domain(levels) <= 400:
+            break
+    f = composed_formula(levels)
+    inputs = list(enumerate_composed_domain(levels))
+    best = _brute_maxima(f, inputs, None)
+    rep = verify_resistance_product(levels)
+    assert (rep.r_max, rep.r_dual_max) == (best["r"][0], best["r_dual"][0])
+    shuffled = _shuffled_inputs(rng, inputs)
+    best = _brute_maxima(f, shuffled, None)
+    rep = compute_bounds(f, domain=explicit_domain(shuffled))
+    assert ((rep.r_max, rep.attain_r), (rep.r_dual_max, rep.attain_r_dual),
+            (rep.c_max, rep.attain_c)) == (best["r"], best["r_dual"], best["c"])
+
+
+def test_sweeps_refuse_a_formula_not_numbered_from_x1():
+    f = Formula(AND, children=(leaf(2), leaf(3)))
+    program = build_span_program(formula_graph(f))
+    with pytest.raises(FormulaError, match="evaluation needs a canonically numbered formula"):
+        compute_bounds(f)
+    with pytest.raises(FormulaError, match="evaluation needs a canonically numbered formula"):
+        witness_extrema(program, all_inputs(2), f)

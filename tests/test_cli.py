@@ -473,6 +473,13 @@ def test_product_names_each_bad_level(capsys, levels, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_product_strips_spaces_around_each_level_field(capsys, flags):
+    spaced = run(capsys, "product", "--levels", " and : 3 : 2 ", *flags)
+    assert spaced == run(capsys, "product", "--levels", "and:3:2", *flags)
+    assert spaced[0] == 0 and spaced[1]
+
+
 @pytest.mark.parametrize("levels", [
     "and:16:16,and:16:16,and:16:16,and:16:16,and:2:1",  # 131,072 leaves
     ",".join(["and:2:1,or:2:1"] * 5),  # ten alternating levels, 2^1024 points

@@ -93,6 +93,27 @@ def test_formula_resistance_rejects_nonpositive_weights(bad, dual):
     with pytest.raises(ValueError, match="edge 'x1' needs a positive rational weight"):
         formula_resistance(f, x, weights, dual=dual)
 
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("x", ["000", "011", "100", "111"])
+@pytest.mark.parametrize("bad, message", [
+    (Fraction(0), "edge 'x1' needs a positive rational weight"),
+    (Fraction(-2), "edge 'x1' needs a positive rational weight"),
+    (None, "weights give no value for label 'x1'"),
+])
+def test_formula_resistance_checks_every_weight_whatever_the_input(bad, message, x, dual):
+    # as formula_graph does: x1's weight is checked on the side and the
+    # inputs that switch x1 off too
+    f = parse_formula("x1&(x2|x3)")
+    weights = {"x2": Fraction(1), "x3": Fraction(1)}
+    if bad is not None:
+        weights["x1"] = bad
+    with pytest.raises(ValueError, match=message):
+        formula_graph(f, weights)
+    with pytest.raises(ValueError, match=message):
+        formula_resistance(f, x, weights, dual=dual)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_path_resistance_is_length(n):
     assert effective_resistance(line(n)) == n
