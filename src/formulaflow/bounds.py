@@ -17,12 +17,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
 # perfbench/tracing.py patches eval_formula and formula_resistance here: keep them imported
-from .electrical import SP_RECURSION, _leaf_pairs, _live_side, cut_size, formula_resistance
+from .electrical import SP_RECURSION, _leaf_pairs, cut_size, formula_resistance, live_sides
 from .errors import DomainTooLargeError
 from .extended import as_float, is_inf
 from .formula import (
@@ -144,11 +143,10 @@ def compute_bounds(host, weights=None, domain: DomainSpec | None = None,
         domain = explicit_domain(all_inputs(f.n_vars))
     use_weights = None if unit_weights else weights
     net = formula_graph(f, use_weights)
+    inputs = (as_bits(x, f.n_vars) for x, _count in domain.items)
     (r_max, attain_r), (r_dual_max, attain_rd), (c_max, attain_c) = side_maxima(
-        (as_bits(x, f.n_vars) for x, _count in domain.items),
-        partial(_live_side, f, _leaf_pairs(_canonical(f), use_weights)),
-        r=(1, lambda _bits, r: r), r_dual=(0, lambda _bits, r: r),
-        c=(0, lambda bits, _r: cut_size(net, bits, backend=SP_RECURSION))).values()
+        live_sides(f, _leaf_pairs(_canonical(f), use_weights), inputs),
+        c=(0, lambda bits: cut_size(net, bits, backend=SP_RECURSION))).values()
     n_edges = f.n_vars
 
     def bound(a, b):
@@ -302,8 +300,7 @@ def verify_resistance_product(levels) -> ProductReport:
         raise DomainTooLargeError(f"domain has more than {DOMAIN_CAP} points")
     f = composed_formula(levels)
     (r_max, _), (rd_max, _) = side_maxima(
-        enumerate_composed_domain(levels), partial(_live_side, f, _leaf_pairs(f, None)),
-        r=(1, lambda _bits, r: r), r_dual=(0, lambda _bits, r: r)).values()
+        live_sides(f, _leaf_pairs(f, None), enumerate_composed_domain(levels))).values()
     expected = math.prod(Fraction(n, h) for _kind, n, h in levels)
     quantum = math.prod(math.sqrt(n / h) for _kind, n, h in levels)
     product = r_max * rd_max

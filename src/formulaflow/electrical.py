@@ -31,10 +31,15 @@ paths and cycles with positive coefficients.
 :func:`_live_side` never builds the network: one post-order walk gives an
 input's value and, over reduced ``(numerator, denominator)`` int pairs with
 one ``math.gcd`` per gate, the resistance of the network that value connects
-(the primal on a 1-input, the dual on a 0-input).  The domain sweeps call it
-once per input; :func:`formula_resistance` asks it for one side, and it then
-skips the other side's arithmetic.  Cut sizes come from a fold over (min, +)
-and from one max-flow routine that
+(the primal on a 1-input, the dual on a 0-input).  :func:`formula_resistance`
+asks it for one side, and it then skips the other side's arithmetic.  The
+domain sweeps go through :func:`live_sides`, whose table rule walks each
+child of the root once per distinct slice of the input bits that child reads
+and then takes the root's own step once per input; its tables last one sweep
+and hold at most one entry per input, so their memory is bounded by the
+input list the caller already holds.
+
+Cut sizes come from a fold over (min, +) and from one max-flow routine that
 :func:`cut_size` and :func:`witness_cut` share: unit augmentations on the
 host's quotient by the components of the edges that
 :func:`.graphs.selector_from_assignment` keeps, where one residual search
@@ -225,13 +230,13 @@ def _leaf_pairs(f: Formula, weights) -> list:
     return [((0, p, q), (1, q, p)) for p, q in pairs]
 
 
-def _live_side(f: Formula, pairs, bits, want=None) -> tuple:
-    """``(value, R)`` of ``f`` on ``bits`` in one walk, R the resistance of the network
-    ``value`` connects: a gate adds its children of its own value, in series when that
-    is all of them, else in parallel, and is left open if its value is not ``want``."""
-    first = f.first_var
-    stack = []  # (value, p, q) per finished subtree: its live side's R = p / q
-    for g in f._order:
+def _live_side(order, stack, pairs, bits, first, want=None) -> tuple:
+    """Fold the post-order ``order`` onto ``stack`` and return its last ``(value, p, q)``,
+    R = p / q the resistance of the network ``value`` connects: a leaf reads
+    ``pairs[i][bits[i] ^ negated]``, i its variable less ``first``; a gate adds its
+    children of its own value, in series when that is all of them, else in parallel,
+    and is left open (``(1, 0)``) if its value is not ``want``."""
+    for g in order:
         if not g.children:
             i = g.var - first
             stack.append(pairs[i][bits[i] ^ g.negated])
@@ -252,8 +257,42 @@ def _live_side(f: Formula, pairs, bits, want=None) -> tuple:
                 p, q = p * b + a * q, q * b
         c = math.gcd(p, q)
         stack.append((v, p // c, q // c))
-    v, p, q = stack[0]
-    return v, Fraction(p, q) if q else INF
+    return stack[-1]
+
+
+def live_sides(f: Formula, pairs, inputs):
+    """Yield ``(bits, value, p, q)`` for each of ``inputs`` (bit tuples of canonical
+    ``f``) in order, R = p / q the resistance of the network ``value`` connects.
+
+    The table rule: a child of the root reads only its own block ``bits[lo:hi]``, so
+    each gate child keeps one table for this sweep, keyed by that slice.  A slice
+    seen first is walked by :func:`_live_side` on the child and kept; later inputs
+    with the same slice read it back.  A leaf child is read from ``pairs``.  The
+    root's own step of the same fold then combines its children's results.  A table
+    holds at most one entry per input, so its memory is bounded by the input list
+    the caller holds, and it is dropped when the sweep ends."""
+    first = f.first_var
+    parts = []  # (lo, hi, leaf negation, the child's order, table), None where unused
+    for child in f.children or (f,):
+        lo = child.first_var - first
+        if child.children:
+            parts.append((lo, lo + child.n_vars, None, child._order, {}))
+        else:
+            parts.append((lo, None, child.negated, None, None))
+    root = (f,) if f.children else ()  # a lone leaf is its own result
+    for bits in inputs:
+        kids = []
+        for lo, hi, negated, order, table in parts:
+            if table is None:
+                kids.append(pairs[lo][bits[lo] ^ negated])
+                continue
+            key = bits[lo:hi]
+            side = table.get(key)
+            if side is None:
+                side = table[key] = _live_side(order, [], pairs, bits, first)
+            kids.append(side)
+        value, p, q = _live_side(root, kids, pairs, bits, first)
+        yield bits, value, p, q
 
 
 def formula_resistance(f: Formula, x, weights=None, dual: bool = False):
@@ -261,8 +300,9 @@ def formula_resistance(f: Formula, x, weights=None, dual: bool = False):
     of the dual network on the complementary selection (``INF`` when the input connects
     the other one); weights map labels to positive rationals, the dual's reciprocal."""
     want = 0 if dual else 1
-    value, r = _live_side(f, _leaf_pairs(f, weights), as_bits(x, f.n_vars), want)
-    return r if value == want else INF
+    value, p, q = _live_side(f._order, [], _leaf_pairs(f, weights), as_bits(x, f.n_vars),
+                             f.first_var, want)
+    return Fraction(p, q) if value == want else INF
 
 
 # ---------------------------------------------------------------------------

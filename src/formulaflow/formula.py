@@ -27,9 +27,12 @@ Promise domains: an and/or promise is the one-level composed domain
 weight a level admits to its gate's value; membership, the count and the
 enumeration read it bottom-up.  The enumeration builds each level one weight
 at a time, so it costs what it yields: the 1-inputs, then the 0-inputs.
-:func:`side_maxima` is the one sweep behind every domain maximum, asking
-each input's value and connected-side resistance once, and ``DOMAIN_CAP``
-(2^20 inputs) is the one budget of the full and composed domains it reads.
+:func:`side_maxima` reads every domain maximum from one tabled sweep, in which
+each child of the root is walked once per distinct slice of the input bits it
+reads, and the root combines its children's results once per input.  Those
+tables last one sweep and hold at most one entry per input, so their memory is
+bounded by the input list the caller already holds.  ``DOMAIN_CAP`` (2^20
+inputs) is the one budget of the full and composed domains it reads.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, partial
 from typing import Iterator, Sequence
 
@@ -361,9 +365,29 @@ def _canonical(f: Formula) -> Formula:
 
 
 def eval_formula(f: Formula, x) -> int:
-    """Evaluate ``f`` on assignment ``x`` (bit i instantiates x_{i+1})."""
+    """Evaluate ``f`` on assignment ``x`` (bit i instantiates x_{i+1}).
+
+    One loop, left to right and top down, with a stack of open gates: a gate's
+    value is that of the child read last, since reading stops at the first child
+    whose value decides the gate (1 under an OR, 0 under an AND) or after its
+    last child.  Leaves right of a deciding child are not read."""
     bits = as_bits(x, _canonical(f).n_vars)
-    return fold(f, lambda g: bits[g.var - 1] ^ g.negated, min, max)
+    open_gates = []  # (gate, index of the child being read)
+    g = f
+    while True:
+        while g.children:
+            open_gates.append((g, 0))
+            g = g.children[0]
+        v = bits[g.var - 1] ^ g.negated
+        while open_gates:
+            gate, i = open_gates.pop()
+            i += 1
+            if v != (gate.kind == OR) and i < len(gate.children):
+                open_gates.append((gate, i))
+                g = gate.children[i]
+                break
+        else:
+            return v
 
 
 # ---------------------------------------------------------------------------
@@ -546,20 +570,32 @@ def enumerate_composed_domain(levels):
     yield from strings[1] + strings[0]
 
 
-def side_maxima(inputs, side, **tracked) -> dict:
-    """One sweep over ``inputs`` (bit tuples): ``side(bits)`` gives each input's
-    ``(value, r)`` once, and each ``name=(value, fn)`` gets ``(max fn(bits, r),
-    first input attaining it)`` over the inputs of that value, or ``(None, None)``."""
+def side_maxima(sides, **tracked) -> dict:
+    """The maxima of one domain sweep, read in one pass over ``sides``: each input's
+    ``(bits, value, p, q)``, R = p / q, as :func:`.electrical.live_sides` yields them.
+    That sweep walks each child of the root once per distinct slice of the input
+    bits it reads, in tables kept for the one sweep with at most one entry per
+    input, so their memory is bounded by the input list the caller already holds.
+
+    ``"r"`` gets ``(max R, first input attaining it)`` over the 1-inputs and
+    ``"r_dual"`` the same over the 0-inputs: R stays an int pair, compared by
+    cross-multiplication, and one ``Fraction`` is built per side at the end.  Each
+    ``name=(value, fn)`` gets ``(max fn(bits), first input attaining it)`` over the
+    inputs of that value.  A side with no input gives ``(None, None)``."""
+    tops = [None, None]  # per value: (p, q, bits) of the first largest R
     best = dict.fromkeys(tracked, (None, None))
-    for bits in inputs:
-        value, r = side(bits)
+    for bits, value, p, q in sides:
+        top = tops[value]
+        if top is None or p * top[1] > top[0] * q:
+            tops[value] = p, q, bits
         for name, (on, fn) in tracked.items():
             if on == value:
-                v = fn(bits, r)
-                top = best[name][0]
-                if top is None or v > top:
+                v = fn(bits)
+                old = best[name][0]
+                if old is None or v > old:
                     best[name] = (v, bits)
-    return best
+    found = [(None, None) if top is None else (Fraction(top[0], top[1]), top[2]) for top in tops]
+    return {"r": found[1], "r_dual": found[0], **best}
 
 
 # ---------------------------------------------------------------------------

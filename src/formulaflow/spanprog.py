@@ -33,13 +33,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 # perfbench/tracing.py patches eval_formula and formula_resistance here: keep them imported
-from .electrical import (GroundedLaplacian, _label, _leaf_pairs, _live_side, _unit_flow,
-                         formula_resistance, grounded_laplacian)
+from .electrical import (GroundedLaplacian, _label, _leaf_pairs, _unit_flow, formula_resistance,
+                         grounded_laplacian, live_sides)
 from .errors import DisconnectedError
 from .extended import INF, as_float
 from .formula import AND, Formula, _canonical, as_bits, eval_formula, side_maxima
@@ -349,25 +349,29 @@ def witness_extrema(program: SpanProgram, domain, f: Formula,
     """Maxima of the witness sizes over a domain of assignments.
 
     Positive kinds are maximized over 1-inputs, negative kinds over
-    0-inputs.  An empty side leaves its maxima as None.  Exact sizes come
-    from one live-side walk per input when the host is formula-derived,
-    otherwise from the definitional solvers.
+    0-inputs.  An empty side leaves its maxima as None.  Each input's value
+    comes from one tabled sweep, :func:`.electrical.live_sides`.  On a
+    formula-derived host the exact sizes are w+ = R / 2 and w- = 2 R' of the
+    sweep's maxima, scaled once at the end; otherwise the definitional
+    solvers give them input by input.
     """
     net = program.network
-    if net.formula is not None and net.formula == f:
-        side = partial(_live_side, f, _leaf_pairs(_canonical(f), net.weight_map()))
-        exact = (lambda _bits, r: r / 2, lambda _bits, r: 2 * r)
-    else:
-        side = lambda bits: (eval_formula(f, bits), None)
-        exact = (lambda bits, _r: positive_witness(program, bits).size,
-                 lambda bits, _r: negative_witness(program, bits).size)
-    approx = {}
+    formula_host = net.formula is not None and net.formula == f
+    pairs = _leaf_pairs(_canonical(f), net.weight_map() if formula_host else None)
+    tracked = {}
+    if not formula_host:
+        tracked = {"w_plus": (1, lambda bits: positive_witness(program, bits).size),
+                   "w_minus": (0, lambda bits: negative_witness(program, bits).size)}
     if include_approx:
-        approx = {"a_plus": (1, lambda bits, _r: approx_positive_witness(program, bits).size),
-                  "a_minus": (0, lambda bits, _r: approx_negative_witness(program, bits).size)}
-    best = side_maxima((as_bits(x, f.n_vars) for x in domain), side,
-                       w_plus=(1, exact[0]), w_minus=(0, exact[1]), **approx)
-    (w_plus, attain_plus), (w_minus, attain_minus) = best["w_plus"], best["w_minus"]
+        tracked.update(a_plus=(1, lambda bits: approx_positive_witness(program, bits).size),
+                       a_minus=(0, lambda bits: approx_negative_witness(program, bits).size))
+    best = side_maxima(live_sides(f, pairs, (as_bits(x, f.n_vars) for x in domain)), **tracked)
+    if formula_host:
+        (r, attain_plus), (rd, attain_minus) = best["r"], best["r_dual"]
+        w_plus = None if r is None else r / 2
+        w_minus = None if rd is None else 2 * rd
+    else:
+        (w_plus, attain_plus), (w_minus, attain_minus) = best["w_plus"], best["w_minus"]
     a_plus, a_minus = (best.get(name, (None, None))[0] for name in ("a_plus", "a_minus"))
     bound = None
     if w_plus is not None and w_minus is not None:

@@ -39,12 +39,14 @@ from .electrical import (
     EXACT_SP,
     MAXFLOW,
     SP_RECURSION,
+    _leaf_pairs,
     check_unit_flow,
     cut_size,
     decompose_flow,
     effective_resistance,
     flow_energy,
     formula_resistance,
+    live_sides,
     longest_self_avoiding_path,
     optimal_flow,
     recompose,
@@ -65,6 +67,7 @@ from .formula import (
     gate,
     leaf,
     random_formula,
+    side_maxima,
     uniform_formula,
 )
 from .graphs import (
@@ -268,25 +271,19 @@ def _exact_extrema(f: Formula, weights) -> tuple:
     Every input is scanned with the vectorized float profile; the near-
     maximal candidates are then recomputed with exact rationals, which is
     sound because the fold's float error is far below the 1e-6 slack used
-    to shortlist candidates.
+    to shortlist candidates.  A finite primal profile marks a 1-input and a
+    finite dual one a 0-input, so the two shortlists are disjoint and one
+    tabled sweep over their union, with the leaf table built once, gives
+    both exact maxima.
     """
     primal = _float_resistance_profile(f, weights, dual=False)
     dual = _float_resistance_profile(f, weights, dual=True)
     finite_p = np.where(np.isfinite(primal), primal, -np.inf)
     finite_d = np.where(np.isfinite(dual), dual, -np.inf)
-    best_p = finite_p.max()
-    best_d = finite_d.max()
-    cand_p = finite_p >= best_p * (1 - 1e-6)
-    cand_d = finite_d >= best_d * (1 - 1e-6)
-
-    def exact_max(cands, dual_side):
-        shortlist = itertools.compress(all_inputs(f.n_vars), cands.tolist())
-        return max(formula_resistance(f, bits, weights, dual=dual_side)
-                   for bits in shortlist)
-
-    w_plus = exact_max(cand_p, False) / 2
-    w_minus = 2 * exact_max(cand_d, True)
-    return w_plus, w_minus
+    cands = (finite_p >= finite_p.max() * (1 - 1e-6)) | (finite_d >= finite_d.max() * (1 - 1e-6))
+    shortlist = itertools.compress(all_inputs(f.n_vars), cands.tolist())
+    best = side_maxima(live_sides(f, _leaf_pairs(f, weights), shortlist))
+    return best["r"][0] / 2, 2 * best["r_dual"][0]
 
 
 def check_weight_certificates() -> str:
@@ -493,7 +490,7 @@ def check_game_strategy() -> str:
         f = build_nand_tree(d)
         found = 0
         while found < 50:
-            bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
+            bits = tuple(rng.integers(0, 2, size=n).tolist())
             if eval_formula(f, bits) != 1:
                 continue
             found += 1

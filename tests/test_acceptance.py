@@ -133,10 +133,10 @@ def _plus_hair(fn):
 
 
 def _r_plus_hair(fn):
-    # the live-side walk's (value, R) with R a hair off
+    # the tabled sweep's (bits, value, p, q) per input with R = p / q a hair off
     def wrapped(*args, **kwargs):
-        value, r = fn(*args, **kwargs)
-        return value, _hair(r)
+        for bits, value, p, q in fn(*args, **kwargs):
+            yield bits, value, p * HAIR.denominator + q * HAIR.numerator, q * HAIR.denominator
     return wrapped
 
 
@@ -241,7 +241,7 @@ PERTURBATIONS = {
         verify, "negative_witness", _shift_field("size_float", _float_hair),
         "float negative mismatch"),
     "connectivity": (verify, "simple_st_paths", _drop_last_path, "mismatch on"),
-    "weight-certificates": (verify, "formula_resistance", _plus_hair,
+    "weight-certificates": (verify, "live_sides", _r_plus_hair,
                             "sweep disagrees with certificate"),
     # the leaf's product is exactly N = 1
     "weight-certificates/product": (verify, "optimal_weights", _shift_field("bound", _hair),
@@ -255,14 +255,14 @@ PERTURBATIONS = {
     "fault-bound/bruteforce": (verify, "fault_complexity",
                                _shift_field("winnable", operator.not_),
                                "recursion != brute force at d=0 x=(0,)"),
-    "resistance-product": (bounds, "_live_side", _r_plus_hair, "[('and', 2, 1)]: "),
+    "resistance-product": (bounds, "live_sides", _r_plus_hair, "[('and', 2, 1)]: "),
     "example-families": (bounds, "cut_size", _plus_hair, "line n="),
     "example-families/exponents": (verify, "exponent_fit", _squared_values,
                                    "line exponents 1.000/0.500"),
     "example-families/balloon": (verify, "compute_bounds",
                                  _unit_weights_only(_shift_field("r_max", _hair)),
                                  "balloon n=4"),
-    "bound-dominance": (bounds, "_live_side", _r_plus_hair, "ordering violated"),
+    "bound-dominance": (bounds, "live_sides", _r_plus_hair, "ordering violated"),
     "game-strategy": (verify, "simulate_game",
                       _shift_field("wins", lambda wins: wins - 1), "d=2: lost 1 games"),
     # the ceiling is about 50x the mean cost, so the route misreports its own check

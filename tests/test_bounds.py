@@ -1,5 +1,7 @@
+import inspect
 import json
 import math
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +30,8 @@ from formulaflow import (
     verify_resistance_product,
     witness_extrema,
 )
-from formulaflow import bounds
+from formulaflow import bounds, electrical, spanprog
+from formulaflow import formula as formula_module
 from formulaflow.bounds import _check_class_count, explicit_domain
 from formulaflow.errors import DomainTooLargeError, FormulaError
 from formulaflow.formula import (
@@ -40,6 +43,7 @@ from formulaflow.formula import (
     count_composed_domain,
     enumerate_composed_domain,
     fold,
+    uniform_formula,
 )
 
 
@@ -299,20 +303,29 @@ def _random_instance(rng, n):
     return f, weights
 
 
-def _brute_maxima(f, inputs, weights):
-    """(max, first input attaining it) of R over the 1-inputs and of R' and the
-    unit cut over the 0-inputs, in the order given: each value from
-    ``eval_formula``, each resistance from series-parallel reduction of the
-    selected network, each cut from max-flow."""
+def _oracle_sides(f, inputs, weights):
+    """Each input's ``(bits, value, p, q)`` without the sweep's tables: the value
+    from ``eval_formula`` and R = p / q from series-parallel reduction of the
+    network that value connects."""
     hosts = {1: (formula_graph(f, weights), PRIMAL), 0: (dual_network(f, weights), DUAL)}
-    unit = formula_graph(f)
-    best = {"r": (None, None), "r_dual": (None, None), "c": (None, None)}
+    sides = []
     for x in inputs:
         value = eval_formula(f, x)
         host, polarity = hosts[value]
-        found = {"r" if value else "r_dual":
-                 effective_resistance(subgraph(host, selector_from_assignment(host, x, polarity)),
-                                      EXACT_SP)}
+        r = effective_resistance(subgraph(host, selector_from_assignment(host, x, polarity)),
+                                 EXACT_SP)
+        sides.append((x, value, r.numerator, r.denominator))
+    return sides
+
+
+def _brute_maxima(f, inputs, weights):
+    """(max, first input attaining it) of R over the 1-inputs and of R' and the
+    unit cut over the 0-inputs, in the order given: each value and resistance
+    from :func:`_oracle_sides`, each cut from max-flow."""
+    unit = formula_graph(f)
+    best = {"r": (None, None), "r_dual": (None, None), "c": (None, None)}
+    for x, value, p, q in _oracle_sides(f, inputs, weights):
+        found = {"r" if value else "r_dual": Fraction(p, q)}
         if not value:
             found["c"] = cut_size(unit, x, MAXFLOW)
         for name, v in found.items():
@@ -370,3 +383,118 @@ def test_sweeps_refuse_a_formula_not_numbered_from_x1():
         compute_bounds(f)
     with pytest.raises(FormulaError, match="evaluation needs a canonically numbered formula"):
         witness_extrema(program, all_inputs(2), f)
+
+
+# ---------------------------------------------------------------------------
+# the tabled sweep: repeated sub-inputs, ties, leaf children, and two mutants
+# ---------------------------------------------------------------------------
+
+def _with_repeats(rng, inputs):
+    """``inputs`` with a third of them again, all in shuffled order."""
+    inputs = list(inputs)
+    again = [inputs[i] for i in rng.choice(len(inputs), size=len(inputs) // 3 + 1)]
+    return _shuffled_inputs(rng, inputs + again)
+
+
+def _table_cases():
+    """(name, formula, weights, inputs) on which each root child sees the same
+    slice of bits many times."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for n in (8, 9, 10, 11, 12):  # random weighted formulas, sampled inputs
+        f, weights = _random_instance(rng, n)
+        drawn = [tuple(row) for row in rng.integers(0, 2, (160, n)).tolist()]
+        cases.append((f"random N={n}", f, weights, _with_repeats(rng, drawn)))
+    for n in (6, 12):  # two equal OR siblings, each leaf weighted and negated at random
+        _f, weights = _random_instance(rng, n)
+        f = fold(uniform_formula(AND, (2, n // 2)), lambda g: leaf(g.var, bool(rng.integers(2))),
+                 lambda parts: gate(AND, parts), lambda parts: gate(OR, parts))
+        drawn = [tuple(row) for row in rng.integers(0, 2, (160, n)).tolist()]
+        cases.append((f"two equal siblings N={n}", f, weights, _with_repeats(rng, drawn)))
+    for f in (build_nand_tree(2), build_nand_tree(3), uniform_formula(OR, (3, 2))):
+        # unit weights and symmetric children: many inputs tie for each maximum
+        inputs = list(all_inputs(f.n_vars))
+        cases.append((f"symmetric {f}", f, None, inputs))
+        cases.append((f"symmetric {f}, shuffled", f, None, _with_repeats(rng, inputs)))
+    for f in (leaf(1), leaf(1, negated=True), gate(AND, [leaf(1), leaf(2, True), leaf(3)]),
+              gate(OR, [leaf(1, True), leaf(2), leaf(3), leaf(4, True)])):
+        weights = {f"x{i + 1}": Fraction(i + 2, 3) for i in range(f.n_vars)}
+        inputs = _with_repeats(rng, all_inputs(f.n_vars))
+        cases.append((f"leaf children {f}", f, weights, inputs))
+    return cases
+
+
+TABLE_CASES = _table_cases()
+
+
+def _check_tables(f, weights, inputs):
+    """The tabled sweep against per-input evaluation and reduction, and every
+    maximum and first attaining input of both sweeps against the brute-force
+    loop."""
+    sides = list(electrical.live_sides(f, electrical._leaf_pairs(f, weights), inputs))
+    assert sides == _oracle_sides(f, inputs, weights)
+    best = _brute_maxima(f, inputs, weights)
+    rep = compute_bounds(f, weights, explicit_domain(inputs))
+    assert ((rep.r_max, rep.attain_r), (rep.r_dual_max, rep.attain_r_dual),
+            (rep.c_max, rep.attain_c)) == (best["r"], best["r_dual"], best["c"])
+    ext = witness_extrema(build_span_program(formula_graph(f, weights)), inputs, f,
+                          include_approx=False)
+    (r, attain_r), (rd, attain_rd) = best["r"], best["r_dual"]
+    assert (ext.w_plus, ext.attain_plus) == (None if r is None else r / 2, attain_r)
+    assert (ext.w_minus, ext.attain_minus) == (None if rd is None else 2 * rd, attain_rd)
+    return best
+
+
+@pytest.mark.parametrize("name, f, weights, inputs", TABLE_CASES,
+                         ids=[case[0] for case in TABLE_CASES])
+def test_tabled_sweep_matches_evaluation_and_reduction(name, f, weights, inputs):
+    best = _check_tables(f, weights, inputs)
+    if name.startswith("symmetric"):
+        # the maxima tie on several inputs, and the first of them in the list is kept
+        for key, value in (("r", 1), ("r_dual", 0)):
+            top, first = best[key]
+            tied = [x for x, v, p, q in _oracle_sides(f, inputs, None)
+                    if v == value and Fraction(p, q) == top]
+            assert len(set(tied)) > 1 and first == tied[0]
+
+
+def test_side_maxima_keeps_the_first_of_equal_pairs():
+    # one R as different int pairs: the first input in the stream keeps the maximum
+    sides = [((0,), 1, 1, 2), ((1,), 1, 2, 4), ((2,), 0, 3, 1), ((3,), 0, 6, 2),
+             ((4,), 1, 1, 3), ((5,), 0, 5, 2)]
+    best = formula_module.side_maxima(sides, odd=(1, lambda bits: bits[0] % 2))
+    assert best == {"r": (Fraction(1, 2), (0,)), "r_dual": (Fraction(3), (2,)),
+                    "odd": (1, (1,))}
+    assert formula_module.side_maxima([], odd=(1, len)) == {
+        "r": (None, None), "r_dual": (None, None), "odd": (None, None)}
+
+
+def _mutant(old, new):
+    """``electrical.live_sides`` with ``old`` in its source replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(electrical.live_sides))
+    assert source.count(old) == 1
+    namespace = dict(vars(electrical))
+    exec(compile(source.replace(old, new), electrical.__file__, "exec"), namespace)
+    return namespace["live_sides"]
+
+
+MUTANTS = {
+    "key shifted by one bit": ("key = bits[lo:hi]", "key = bits[lo + 1:hi + 1]"),
+    "sibling reuses a table": (
+        "child._order, {}))",
+        "child._order, parts[-1][4] if parts and parts[-1][4] is not None else {}))"),
+}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_table_mutants_fail_the_table_checks(mutant, monkeypatch):
+    live_sides = _mutant(*MUTANTS[mutant])
+    for module in (electrical, bounds, spanprog):
+        monkeypatch.setattr(module, "live_sides", live_sides)
+    failed = []
+    for name, f, weights, inputs in TABLE_CASES:
+        try:
+            _check_tables(f, weights, inputs)
+        except AssertionError:
+            failed.append(name)
+    assert failed

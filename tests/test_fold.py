@@ -1,13 +1,15 @@
 """The formula-tree walks against independent routes, and on deep trees.
 
-The (min, +) cut recursion and ``eval_formula`` run on ``formula.fold``;
-``formula_resistance`` and every domain sweep run on one live-side walk,
-``electrical._live_side``, that gives an input's value and the resistance of
-the network that value connects.  These tests compare each of them with a
-route that does not use it: series-parallel reduction and the float
-Laplacian of the selected network, max-flow, graph connectivity and both
-span-program witness sizes.  They also check that the cached post-order is
-walked once per formula and leaves equality, hashing and ``repr`` alone.
+The (min, +) cut recursion runs on ``formula.fold`` and ``eval_formula`` on
+its own top-down loop; ``formula_resistance`` and every domain sweep run on
+one live-side walk, ``electrical._live_side``, that gives an input's value
+and the resistance of the network that value connects (the sweeps through
+``electrical.live_sides``, which tables each child of the root).  These tests
+compare each of them with a route that does not use it: series-parallel
+reduction and the float Laplacian of the selected network, max-flow, graph
+connectivity and both span-program witness sizes.  They also check that the
+cached post-order is walked once per formula and leaves equality, hashing
+and ``repr`` alone.
 """
 
 import itertools
@@ -45,7 +47,7 @@ from formulaflow import (
     subgraph,
 )
 from formulaflow import formula as formula_module
-from formulaflow.electrical import _leaf_pairs, _live_side, terminals_connected
+from formulaflow.electrical import _leaf_pairs, live_sides, terminals_connected
 from formulaflow.formula import AND, OR, fold
 from formulaflow.verify import _check_formula_connectivity, _path_literals
 
@@ -124,14 +126,14 @@ def test_fold_cut_matches_maxflow(instance):
 @given(weighted_instances())
 @settings(max_examples=100, deadline=None)
 def test_live_side_matches_evaluation_and_reduction_on_every_input(instance):
-    # both modes of the walk: both sides at once (the sweeps) and one side
-    # asked for (formula_resistance), against the generic fold's value and
+    # both modes of the walk: both sides at once (the tabled sweep) and one
+    # side asked for (formula_resistance), against eval_formula's value and
     # the reduction of the selection that value connects
     f, weights, _x = instance
     pairs = _leaf_pairs(f, weights)
     hosts = ((dual_network(f, weights), DUAL), (formula_graph(f, weights), PRIMAL))
-    for x in itertools.product((0, 1), repeat=f.n_vars):
-        value, r = _live_side(f, pairs, x)
+    for x, value, p, q in live_sides(f, pairs, itertools.product((0, 1), repeat=f.n_vars)):
+        r = Fraction(p, q)
         assert value == eval_formula(f, x)
         host, polarity = hosts[value]
         assert r == effective_resistance(selected(host, x, polarity), EXACT_SP)
@@ -198,7 +200,9 @@ def test_fold_on_deep_alternating_chain(first_bit):
     assert eval_formula(f, bits) == value == first_bit
     assert formula_resistance(f, bits) == r
     assert formula_resistance(f, bits, dual=True) == r_dual
-    assert _live_side(f, _leaf_pairs(f, None), tuple(bits)) == (value, r if value else r_dual)
+    r_live = r if value else r_dual
+    assert list(live_sides(f, _leaf_pairs(f, None), [tuple(bits)])) == [
+        (tuple(bits), value, r_live.numerator, r_live.denominator)]
     assert (r is INF) != (r_dual is INF)
 
 
