@@ -44,7 +44,7 @@ print("\nlow-fault alternating trees: the cut figure grows, the dual figure "
 for d in (2, 3, 4):
     fam = ff.example_family("nand-kfault", d=d, k=1)
     rep = ff.compute_bounds(fam.formula, fam.weights, fam.domain)
-    print(f"  d={d}: domain {fam.domain.total:5} inputs, "
+    print(f"  d={d}: domain {len(fam.domain):5} inputs, "
           f"sqrt(R*C) = {rep.bound_cut:.3f}, sqrt(R*R') = {rep.bound_new:.3f}")
 
 print("\ncomposed-promise product identity (exact rationals):")

@@ -10,25 +10,21 @@ games, and the cost of the resistance-guided playing strategy.
 
 from .extended import INF, Infinity, as_float, is_inf
 from .formula import (
+    Domain,
     Formula,
-    PromiseDomain,
-    and_promise,
     as_bits,
     build_nand_tree,
     compose,
-    composed_domain,
     composed_formula,
     dual_formula,
-    enumerate_composed_domain,
     enumerate_formulas,
     eval_formula,
-    full_domain,
+    explicit_domain,
     gate,
     leaf,
     negate_formula,
-    or_promise,
     parse_formula,
-    promise_membership,
+    promise_domain,
     random_formula,
     render,
     uniform_formula,
@@ -101,12 +97,10 @@ from .nand import (
 )
 from .bounds import (
     BoundReport,
-    DomainSpec,
     ExampleFamily,
     ProductReport,
     compute_bounds,
     example_family,
-    explicit_domain,
     exponent_fit,
     verify_resistance_product,
 )

@@ -1,4 +1,4 @@
-"""Query-cost bound figures over promise domains, and the example families.
+"""Query-cost bound figures over input domains, and the example families.
 
 For a host network and a domain of inputs, three bound figures are compared:
 
@@ -26,49 +26,23 @@ from .errors import DomainTooLargeError
 from .extended import as_float, is_inf
 from .formula import (
     DOMAIN_CAP,
+    Domain,
     Formula,
     _canonical,
     _level_classes,
     all_inputs,
     as_bits,
     build_nand_tree,
-    composed_domain,
     composed_formula,
-    count_composed_domain,
-    enumerate_composed_domain,
     eval_formula,
+    explicit_domain,
     gate,
     leaf,
+    promise_domain,
     side_maxima,
 )
 from .graphs import Network, formula_graph
 from .nand import _leaf_count, is_k_fault
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """Enumeration plan for a promise domain.
-
-    ``items`` are (assignment, multiplicity) pairs, and ``total`` is the sum
-    of the multiplicities.  An ``explicit`` domain lists every assignment
-    once; a ``classes`` domain lists one representative per symmetry class,
-    which is exact whenever the tracked quantities are class-invariant.
-    """
-
-    kind: str  # "explicit" | "classes"
-    items: tuple
-
-    @property
-    def total(self) -> int:
-        return sum(count for _x, count in self.items)
-
-    @property
-    def exhaustive(self) -> bool:
-        return self.kind in ("explicit", "classes")
-
-
-def explicit_domain(assignments) -> DomainSpec:
-    return DomainSpec("explicit", tuple((tuple(a), 1) for a in assignments))
 
 
 @dataclass(frozen=True)
@@ -82,7 +56,7 @@ class BoundReport:
     bound_new: float | None
     weights: dict
     domain: str
-    exhaustive: bool
+    exhaustive: bool  # every domain is swept point by point or class by class
     attain_r: tuple | None
     attain_r_dual: tuple | None
     attain_c: tuple | None
@@ -118,7 +92,7 @@ class BoundReport:
         return "\n".join(f"{name.ljust(width)}  {value}" for name, value in rows)
 
 
-def compute_bounds(host, weights=None, domain: DomainSpec | None = None,
+def compute_bounds(host, weights=None, domain: Domain | None = None,
                    unit_weights: bool = False) -> BoundReport:
     """Bound figures for a formula network over a domain of assignments.
 
@@ -143,7 +117,7 @@ def compute_bounds(host, weights=None, domain: DomainSpec | None = None,
         domain = explicit_domain(all_inputs(f.n_vars))
     use_weights = None if unit_weights else weights
     net = formula_graph(f, use_weights)
-    inputs = (as_bits(x, f.n_vars) for x, _count in domain.items)
+    inputs = (as_bits(x, f.n_vars) for x in domain)
     (r_max, attain_r), (r_dual_max, attain_rd), (c_max, attain_c) = side_maxima(
         live_sides(f, _leaf_pairs(_canonical(f), use_weights), inputs),
         c=(0, lambda bits: cut_size(net, bits, backend=SP_RECURSION))).values()
@@ -157,8 +131,7 @@ def compute_bounds(host, weights=None, domain: DomainSpec | None = None,
     return BoundReport(
         r_max, r_dual_max, c_max, n_edges,
         bound(r_max, n_edges), bound(r_max, c_max), bound(r_max, r_dual_max),
-        dict(use_weights or {}), domain.kind, domain.exhaustive,
-        attain_r, attain_rd, attain_c,
+        dict(use_weights or {}), domain.kind, True, attain_r, attain_rd, attain_c,
     )
 
 
@@ -173,7 +146,7 @@ class ExampleFamily:
     formula: Formula
     weights: dict | None
     network: Network
-    domain: DomainSpec
+    domain: Domain
 
 
 def _check_class_count(classes: int) -> None:
@@ -198,8 +171,9 @@ def _line_family(n: int, h: int | None) -> ExampleFamily:
         raise DomainTooLargeError(f"line family has {n} leaves, more than the domain "
                                   f"budget of {DOMAIN_CAP}")
     f = gate("and", [leaf(i + 1) for i in range(n)]) if n > 1 else leaf(1)
-    domain = DomainSpec("classes", tuple(  # the classes of and_promise(n, h), by weight
-        (tuple([1] * w + [0] * (n - w)), math.comb(n, w)) for w in _level_classes("and", n, h)))
+    ws = tuple(_level_classes("and", n, h))  # the and-promise's classes, by weight
+    domain = Domain(tuple(tuple([1] * w + [0] * (n - w)) for w in ws),
+                    tuple(math.comb(n, w) for w in ws))
     return ExampleFamily("line", {"n": n, "h": h}, f, None,
                          formula_graph(f), domain)
 
@@ -214,9 +188,11 @@ def _balloon_family(n: int) -> ExampleFamily:
     f = gate("and", path + [bundle])
     weights = {f"x{i + 1}": Fraction(1) for i in range(n)}
     weights.update({f"x{n + i + 1}": Fraction(1, n) for i in range(n)})
-    domain = DomainSpec("classes", tuple(  # a path edges absent, p multi-edges present
-        (tuple([1] * (n - a) + [0] * a + [1] * p + [0] * (n - p)),
-         math.comb(n, a) * math.comb(n, p)) for a in range(n + 1) for p in range(n + 1)))
+    # one class per (a, p): a path edges absent, p multi-edges present
+    classes = [(a, p) for a in range(n + 1) for p in range(n + 1)]
+    domain = Domain(
+        tuple(tuple([1] * (n - a) + [0] * a + [1] * p + [0] * (n - p)) for a, p in classes),
+        tuple(math.comb(n, a) * math.comb(n, p) for a, p in classes))
     return ExampleFamily("balloon", {"n": n}, f, weights,
                          formula_graph(f, weights), domain)
 
@@ -286,23 +262,19 @@ class ProductReport:
 def verify_resistance_product(levels) -> ProductReport:
     """Exhaustively check the product identity for a promise composition.
 
-    Counts the composed promise domain first and raises
-    :class:`DomainTooLargeError` when it exceeds ``DOMAIN_CAP``, before
-    building anything.  Otherwise builds the uniform composition chain,
-    enumerates the domain, and verifies in exact arithmetic that the product
-    of the worst primal resistance (over 1-inputs) and the worst dual
-    resistance (over 0-inputs) equals prod(N_i) / prod(h_i).  Also reports
-    the accompanying estimate prod(sqrt(N_i / h_i)).
+    Builds the domain with :func:`.formula.promise_domain`, which raises
+    :class:`DomainTooLargeError` past ``DOMAIN_CAP`` before it builds any
+    input.  Then verifies in exact arithmetic, on the uniform composition
+    chain, that the product of the worst primal resistance (over 1-inputs) and
+    the worst dual resistance (over 0-inputs) equals prod(N_i) / prod(h_i).
+    Also reports the accompanying estimate prod(sqrt(N_i / h_i)).
     """
-    levels = composed_domain(levels).levels
-    size = count_composed_domain(levels)
-    if size > DOMAIN_CAP:
-        raise DomainTooLargeError(f"domain has more than {DOMAIN_CAP} points")
-    f = composed_formula(levels)
+    dom = promise_domain(levels)
+    f = composed_formula(dom.levels)
     (r_max, _), (rd_max, _) = side_maxima(
-        live_sides(f, _leaf_pairs(f, None), enumerate_composed_domain(levels))).values()
-    expected = math.prod(Fraction(n, h) for _kind, n, h in levels)
-    quantum = math.prod(math.sqrt(n / h) for _kind, n, h in levels)
+        live_sides(f, _leaf_pairs(f, None), dom.items)).values()
+    expected = math.prod(Fraction(n, h) for _kind, n, h in dom.levels)
+    quantum = math.prod(math.sqrt(n / h) for _kind, n, h in dom.levels)
     product = r_max * rd_max
-    return ProductReport(levels, r_max, rd_max, product, expected,
-                         product == expected, quantum, size)
+    return ProductReport(dom.levels, r_max, rd_max, product, expected,
+                         product == expected, quantum, len(dom))

@@ -106,7 +106,7 @@ def _insert(resistance: dict, nbrs: dict, u, v, r) -> None:
     any there."""
     key = frozenset((u, v))
     old = resistance.get(key)
-    resistance[key] = r if old is None else _parallel((old, r))
+    resistance[key] = r if old is None else _parallel(old, r)
     nbrs[u].add(v)
     nbrs[v].add(u)
 
@@ -136,7 +136,7 @@ def _reduce_series_parallel(net: Network):
         for w in ends:
             nbrs[w].discard(v)
         if len(ends) == 2:
-            _insert(resistance, nbrs, *ends, _series(rs))
+            _insert(resistance, nbrs, *ends, _series(*rs))
         work.extend(ends)
     if resistance.keys() == {frozenset((s, t))}:
         return Fraction(*resistance.popitem()[1])
@@ -205,20 +205,16 @@ def effective_resistance(net: Network, backend: str = EXACT_SP):
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _series(pairs) -> tuple:
-    """Sum of resistances given as ``(p, q)`` pairs; ``(1, 0)`` is open."""
-    p, q = 0, 1
-    for a, b in pairs:
-        if not b:
-            return 1, 0
-        p, q = p * b + a * q, q * b
+def _series(r, s) -> tuple:
+    """Sum of two positive resistances given as reduced ``(p, q)`` pairs."""
+    p, q = r[0] * s[1] + s[0] * r[1], r[1] * s[1]
     g = math.gcd(p, q)
     return p // g, q // g
 
 
-def _parallel(pairs) -> tuple:
-    """Parallel bank of ``(p, q)`` resistances: the conductances add."""
-    q, p = _series([(b, a) for a, b in pairs])
+def _parallel(r, s) -> tuple:
+    """Two positive ``(p, q)`` resistances in parallel: the conductances add."""
+    q, p = _series(r[::-1], s[::-1])
     return p, q
 
 

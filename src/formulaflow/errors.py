@@ -22,7 +22,7 @@ class AssignmentLengthError(ValueError):
 
 
 class PromiseMismatchError(ValueError):
-    """Promise domain is structurally inconsistent with the formula."""
+    """No promise levels, or a level not and/or with int sizes 1 <= h <= N, N >= 2."""
 
 
 class LabelCollisionError(ValueError):

@@ -22,17 +22,21 @@ groups, so nesting depth is not bounded by Python's recursion limit.
 
 Assignments are given most-significant-first: character 0 instantiates x1.
 
-Promise domains: an and/or promise is the one-level composed domain
-``((kind, n, h),)``.  The level table :func:`_level_classes` maps each child
-weight a level admits to its gate's value; membership, the count and the
-enumeration read it bottom-up.  The enumeration builds each level one weight
-at a time, so it costs what it yields: the 1-inputs, then the 0-inputs.
-:func:`side_maxima` reads every domain maximum from one tabled sweep, in which
-each child of the root is walked once per distinct slice of the input bits it
-reads, and the root combines its children's results once per input.  Those
-tables last one sweep and hold at most one entry per input, so their memory is
-bounded by the input list the caller already holds.  ``DOMAIN_CAP`` (2^20
-inputs) is the one budget of the full and composed domains it reads.
+Domains: a :class:`Domain` holds the inputs a sweep reads, in sweep order,
+with their class sizes when each stands for a symmetry class, and with the
+composed promise when :func:`promise_domain` built it; an and/or promise is
+the one-level composed promise ``((kind, n, h),)``.  The level table
+:func:`_level_classes` maps each child weight a level admits to its gate's
+value; membership and the count read it bottom-up.  :func:`promise_domain`
+checks the levels, counts the domain once against ``DOMAIN_CAP`` (2^20
+inputs), the one budget of every domain that is enumerated, and then builds
+it one level and one weight at a time, so it costs what it yields: the
+1-inputs, then the 0-inputs.  :func:`side_maxima` reads every domain maximum
+from one tabled sweep, in which each child of the root is walked once per
+distinct slice of the input bits it reads, and the root combines its
+children's results once per input.  Those tables last one sweep and hold at
+most one entry per input, so their memory is bounded by the input list the
+caller already holds.
 """
 
 from __future__ import annotations
@@ -430,66 +434,76 @@ def compose(outer: Formula, inner: Formula) -> Formula:
 
 AND_PROMISE = "and"
 OR_PROMISE = "or"
-FULL = "full"
-COMPOSED = "composed"
 
-DOMAIN_CAP = 1 << 20  # the most inputs a full or composed domain may hold to be enumerated
+DOMAIN_CAP = 1 << 20  # the most inputs a domain may hold to be enumerated
 
 
 @dataclass(frozen=True)
-class PromiseDomain:
-    """Restriction of the inputs a formula is evaluated on.
+class Domain:
+    """The inputs a sweep reads, as bit tuples in sweep order (``items``).
 
-    ``and``-promise on N bits keeps |x| = N or |x| <= N-h; the ``or``-promise
-    keeps |x| = 0 or |x| >= h.  A composed domain applies a per-level promise
-    to the input vector of every gate of a uniform composition chain.
+    With ``counts``, item i stands for a symmetry class of ``counts[i]`` inputs,
+    which is exact whenever the swept quantities are class-invariant; without,
+    the items are the points themselves.  ``levels`` is the composed promise the
+    points keep, outermost level first (an and/or promise is one level), as
+    :func:`promise_domain` sets it.  ``len`` counts points and iteration yields
+    the items.  ``x in dom`` reads the level tables, built once per domain, when
+    there are levels, else the items of an explicit domain.
     """
 
-    kind: str
-    n: int = 0
-    h: int = 0
+    items: tuple
+    counts: tuple | None = None
     levels: tuple = ()
 
+    @property
+    def kind(self) -> str:
+        return "explicit" if self.counts is None else "classes"
+
+    def __len__(self) -> int:
+        return len(self.items) if self.counts is None else sum(self.counts)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.items)
+
     @cached_property
-    def _chain(self) -> Formula:
-        return composed_formula(self.levels or ((self.kind, self.n, self.h),))
+    def _tables(self) -> tuple:
+        """The leaf count, and each level's ``(N, level table)``, innermost first."""
+        return (math.prod(n for _kind, n, _h in self.levels),
+                [(n, _level_classes(kind, n, h)) for kind, n, h in reversed(self.levels)])
 
-    def __post_init__(self):
-        if self.kind in (AND_PROMISE, OR_PROMISE):
-            if not _sizes_ok(self.n, self.h):
-                raise PromiseMismatchError("promise requires 1 <= h <= N")
-        elif self.kind == COMPOSED:
-            object.__setattr__(self, "levels", _checked_levels(self.levels))
-        elif self.kind != FULL:
-            raise PromiseMismatchError(f"unknown domain kind {self.kind!r}")
+    @cached_property
+    def _points(self) -> frozenset:
+        return frozenset(self.items)
 
-
-def full_domain(n: int) -> PromiseDomain:
-    return PromiseDomain(FULL, n=n)
-
-
-def and_promise(n: int, h: int) -> PromiseDomain:
-    return PromiseDomain(AND_PROMISE, n=n, h=h)
-
-
-def or_promise(n: int, h: int) -> PromiseDomain:
-    return PromiseDomain(OR_PROMISE, n=n, h=h)
+    def __contains__(self, x) -> bool:
+        if self.levels:
+            width, tables = self._tables
+            values = as_bits(x, width)
+            for n, classes in tables:  # bottom-up: blocks of n values become gate values
+                values = [classes.get(sum(values[i:i + n])) for i in range(0, len(values), n)]
+                if None in values:
+                    return False
+            return True
+        if self.counts is not None:
+            raise TypeError("a classes domain holds one input per class, not its points")
+        return bool(self.items) and as_bits(x, len(self.items[0])) in self._points
 
 
-def composed_domain(levels) -> PromiseDomain:
-    return PromiseDomain(COMPOSED, levels=levels)
-
-
-def _sizes_ok(n, h) -> bool:  # ints, not bools, with 1 <= h <= n
-    return type(n) is type(h) is int and 1 <= h <= n
+def explicit_domain(inputs) -> Domain:
+    """The domain of exactly ``inputs``, swept in their order."""
+    return Domain(tuple(map(tuple, inputs)))
 
 
 def _checked_levels(levels) -> tuple:
-    """``levels`` as ``(kind, N, h)`` tuples, each and/or with int N >= 2, 1 <= h <= N."""
+    """``levels``, at least one, as ``(kind, N, h)`` tuples, each and/or with
+    int (not bool) N >= 2 and 1 <= h <= N."""
     levels = tuple(tuple(level) for level in levels)
+    if not levels:
+        raise PromiseMismatchError("composed domain needs at least one level")
     for level in levels:
         kind, n, h = level if len(level) == 3 else (None, 0, 0)
-        if kind not in (AND_PROMISE, OR_PROMISE) or not _sizes_ok(n, h) or n < 2:
+        sized = type(n) is type(h) is int and 1 <= h <= n and n >= 2
+        if kind not in (AND_PROMISE, OR_PROMISE) or not sized:
             raise PromiseMismatchError(f"bad level ({', '.join(map(str, level))})")
     return levels
 
@@ -497,7 +511,8 @@ def _checked_levels(levels) -> tuple:
 def _level_classes(kind: str, n: int, h: int) -> dict:
     """The level table: each weight (count of 1-valued children) that a
     ``(kind, n, h)`` gate admits, in increasing order, mapped to the value
-    the gate outputs on it."""
+    the gate outputs on it.  The ``and``-promise keeps |x| = N or |x| <= N-h,
+    the ``or``-promise |x| = 0 or |x| >= h."""
     if kind == AND_PROMISE:
         return {w: int(w == n) for w in (*range(n - h + 1), n)}
     return {w: int(w > 0) for w in (0, *range(h, n + 1))}
@@ -505,32 +520,10 @@ def _level_classes(kind: str, n: int, h: int) -> dict:
 
 def composed_formula(levels) -> Formula:
     """The uniform composition chain AND_N/OR_N|level1 o ... o |level_l."""
-    levels = _checked_levels(levels)
-    if not levels:
-        raise PromiseMismatchError("composed domain needs at least one level")
     shape = False
-    for kind, n, _h in reversed(levels):
+    for kind, n, _h in reversed(_checked_levels(levels)):
         shape = (AND if kind == AND_PROMISE else OR, [shape] * n)
     return _from_shape(shape)
-
-
-def promise_membership(dom: PromiseDomain, f: Formula, x) -> bool:
-    """Whether ``x`` (and, for composed domains, every intermediate gate
-    input vector) lies in the promised set.  An and/or promise is the
-    one-level composed domain ``((kind, n, h),)``."""
-    if dom.kind == FULL:
-        as_bits(x, f.n_vars)
-        return True
-    levels = dom.levels or ((dom.kind, dom.n, dom.h),)
-    if f != dom._chain:
-        raise PromiseMismatchError("formula does not match the composed level structure")
-    values = as_bits(x, f.n_vars)
-    for kind, n, h in reversed(levels):  # bottom-up: blocks of n values become gate values
-        classes = _level_classes(kind, n, h)
-        values = [classes.get(sum(values[i:i + n])) for i in range(0, len(values), n)]
-        if None in values:
-            return False
-    return True
 
 
 def count_composed_domain(levels) -> int:
@@ -549,15 +542,17 @@ def count_composed_domain(levels) -> int:
     return sum(counts)
 
 
-def enumerate_composed_domain(levels):
-    """Yield every assignment (as a bit tuple) of the composed promise domain:
-    the 1-inputs, then the 0-inputs, each grouped by the root's child weight
-    in increasing order.  The cost grows with the inputs yielded, not 2^N.
-    Raises :class:`DomainTooLargeError` when the domain exceeds ``DOMAIN_CAP``.
-    """
+def promise_domain(levels) -> Domain:
+    """The composed promise domain of ``levels``, outermost level first: the
+    inputs on which every gate of :func:`composed_formula` sees a child weight
+    its level admits.  The levels are checked and the domain counted first, so
+    one of more than ``DOMAIN_CAP`` points raises :class:`DomainTooLargeError`
+    before any input is built.  The items are the 1-inputs, then the 0-inputs,
+    each grouped by the root's child weight in increasing order, built level by
+    level, so the cost grows with the inputs held, not 2^N."""
     levels = _checked_levels(levels)
     if count_composed_domain(levels) > DOMAIN_CAP:
-        raise DomainTooLargeError("composed domain exceeds the exhaustive budget")
+        raise DomainTooLargeError(f"domain has more than {DOMAIN_CAP} points")
     strings = ([(0,)], [(1,)])  # the bit strings of gate value 0, 1 for a raw bit
     for kind, n, h in reversed(levels):
         grown = ([], [])
@@ -567,7 +562,7 @@ def enumerate_composed_domain(levels):
                     tuple(itertools.chain.from_iterable(parts))
                     for parts in itertools.product(*(strings[i in ones] for i in range(n))))
         strings = grown
-    yield from strings[1] + strings[0]
+    return Domain((*strings[1], *strings[0]), levels=levels)
 
 
 def side_maxima(sides, **tracked) -> dict:

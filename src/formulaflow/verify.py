@@ -31,7 +31,6 @@ import numpy as np
 from .bounds import (
     compute_bounds,
     example_family,
-    explicit_domain,
     exponent_fit,
     verify_resistance_product,
 )
@@ -60,12 +59,12 @@ from .formula import (
     all_inputs,
     build_nand_tree,
     composed_formula,
-    enumerate_composed_domain,
     enumerate_formulas,
     eval_formula,
     fold,
     gate,
     leaf,
+    promise_domain,
     random_formula,
     side_maxima,
     uniform_formula,
@@ -457,8 +456,7 @@ def check_bound_dominance() -> str:
     for d in range(5):
         domains.append((build_nand_tree(d), None))
     for levels in PRODUCT_STRUCTURES[:12]:
-        f = composed_formula(levels)
-        domains.append((f, explicit_domain(enumerate_composed_domain(levels))))
+        domains.append((composed_formula(levels), promise_domain(levels)))
     for n in (4, 9, 16):
         fam = example_family("line", n=n, h=int(math.isqrt(n)))
         domains.append((fam.formula, fam.domain))

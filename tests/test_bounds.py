@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import textwrap
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ from formulaflow import (
 )
 from formulaflow import bounds, electrical, spanprog
 from formulaflow import formula as formula_module
-from formulaflow.bounds import _check_class_count, explicit_domain
+from formulaflow.bounds import _check_class_count
 from formulaflow.errors import DomainTooLargeError, FormulaError
 from formulaflow.formula import (
     AND,
@@ -41,8 +42,9 @@ from formulaflow.formula import (
     all_inputs,
     composed_formula,
     count_composed_domain,
-    enumerate_composed_domain,
+    explicit_domain,
     fold,
+    promise_domain,
     uniform_formula,
 )
 
@@ -67,10 +69,10 @@ def test_line_family_figures():
 def test_line_domain_counts_promise():
     fam = example_family("line", n=4, h=2)
     # |x|=4 plus |x| <= 2: 1 + (1 + 4 + 6)
-    assert fam.domain.total == 12
-    # the classes of and_promise(4, 2), by weight: all-ones last
-    assert fam.domain.items == (((0, 0, 0, 0), 1), ((1, 0, 0, 0), 4), ((1, 1, 0, 0), 6),
-                                ((1, 1, 1, 1), 1))
+    assert len(fam.domain) == 12
+    # the classes of the and-promise (4, 2), by weight: all-ones last
+    assert fam.domain.items == ((0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 1))
+    assert fam.domain.counts == (1, 4, 6, 1)
 
 
 def test_balloon_family_figures():
@@ -94,15 +96,14 @@ def test_balloon_attaining_inputs_reevaluate():
 
 def test_nand_kfault_family_nonempty():
     fam = example_family("nand-kfault", d=2, k=0)
-    assert fam.domain.total > 0
-    members = {x for x, _count in fam.domain.items}
-    assert (1, 1, 1, 1) in members
+    assert len(fam.domain) > 0
+    assert (1, 1, 1, 1) in fam.domain
 
 
 def test_nand_kfault_level_filter():
     fam0 = example_family("nand-kfault", d=2, k=0)
     fam1 = example_family("nand-kfault", d=2, k=1)
-    assert fam0.domain.total < fam1.domain.total
+    assert len(fam0.domain) < len(fam1.domain)
 
 
 def test_family_rejects_bad_parameters():
@@ -241,11 +242,46 @@ def test_line_family_checks_its_leaf_count_before_building(monkeypatch):
 def test_kfault_family_refuses_exactly_the_trees_past_the_budget(monkeypatch):
     # d = 2 has 2^4 = 16 inputs: inside a budget of 16, past one of 15
     monkeypatch.setattr(bounds, "DOMAIN_CAP", 16)
-    assert example_family("nand-kfault", d=2, k=1).domain.total == 16
+    assert len(example_family("nand-kfault", d=2, k=1).domain) == 16
     monkeypatch.setattr(bounds, "DOMAIN_CAP", 15)
     with pytest.raises(DomainTooLargeError, match=r"2\^\(2\^2\) inputs exceeds the domain "
                                                   r"budget of 15 inputs"):
         example_family("nand-kfault", d=2, k=1)
+
+
+def test_compute_bounds_refuses_a_full_domain_past_the_budget(monkeypatch):
+    monkeypatch.setattr(bounds, "all_inputs", None)  # nothing is enumerated before the check
+    f = gate("and", [leaf(i + 1) for i in range(21)])  # 2^21 inputs
+    with pytest.raises(DomainTooLargeError, match=r"^full domain too large; pass an explicit one$"):
+        compute_bounds(f)
+    monkeypatch.setattr(bounds, "DOMAIN_CAP", 4)
+    with pytest.raises(DomainTooLargeError, match="full domain too large"):
+        compute_bounds(gate("and", [leaf(1), leaf(2), leaf(3)]))
+    monkeypatch.undo()
+    monkeypatch.setattr(bounds, "DOMAIN_CAP", 4)  # exactly the budget
+    assert compute_bounds(gate("and", [leaf(1), leaf(2)])).r_max == 2
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_line_classes_are_the_and_promise_domain(n):
+    for h in range(1, n + 1):
+        dom = example_family("line", n=n, h=h).domain
+        promised = promise_domain([("and", n, h)])
+        assert sum(dom.counts) == len(dom) == len(promised)
+        weight_classes = [{x for x in all_inputs(n) if sum(x) == sum(rep)} for rep in dom.items]
+        assert [len(c) for c in weight_classes] == list(dom.counts)
+        assert set().union(*weight_classes) == set(promised)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_balloon_classes_group_every_input(n):
+    def key(x):  # (absent path edges, present multi-edges)
+        return n - sum(x[:n]), sum(x[n:])
+
+    dom = example_family("balloon", n=n).domain
+    brute = Counter(key(x) for x in all_inputs(2 * n))
+    assert len(dom.items) == len(brute)
+    assert {key(x): count for x, count in zip(dom.items, dom.counts)} == brute
 
 
 def test_product_domain_cap():
@@ -276,7 +312,7 @@ def test_bound_report_serialization():
 
 def test_explicit_domain_roundtrip():
     dom = explicit_domain([(0, 1), (1, 1)])
-    assert dom.total == 2 and dom.exhaustive
+    assert len(dom) == 2 and dom.items == ((0, 1), (1, 1)) and dom.kind == "explicit"
 
 
 def test_compute_bounds_accepts_network():
@@ -365,7 +401,7 @@ def test_sweeps_match_a_brute_force_loop_on_composed_domains(seed):
         if count_composed_domain(levels) <= 400:
             break
     f = composed_formula(levels)
-    inputs = list(enumerate_composed_domain(levels))
+    inputs = list(promise_domain(levels))
     best = _brute_maxima(f, inputs, None)
     rep = verify_resistance_product(levels)
     assert (rep.r_max, rep.r_dual_max) == (best["r"][0], best["r_dual"][0])

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from formulaflow import bounds, errors, verify
+from formulaflow import bounds, cli, errors, verify
 from formulaflow.cli import DOMAIN_ERRORS, main
 from formulaflow.formula import count_composed_domain
 
@@ -160,6 +160,21 @@ def test_extrema(capsys):
     assert code == 0
     assert doc["w_plus"] == "1/2" and doc["w_minus"] == "2"
     assert abs(doc["bound"] - 1.0) < 1e-12
+
+
+def test_extrema_refuses_past_the_budget_before_sweeping(capsys, monkeypatch):
+    # nothing is built or enumerated before the check
+    monkeypatch.setattr(cli, "build_span_program", None)
+    monkeypatch.setattr(cli, "all_inputs", None)
+    formula = "&".join(f"x{i}" for i in range(1, 22))  # 2^21 inputs
+    code, out, err = run(capsys, "extrema", "-f", formula)
+    assert (code, out) == (1, "")
+    assert err == "error: extrema sweep capped at 2^20 inputs\n"
+    monkeypatch.setattr(cli, "DOMAIN_CAP", 4)  # x1&x2 has exactly the budget, x1&x2&x3 more
+    assert run(capsys, "extrema", "-f", "x1&x2&x3")[2] == err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "DOMAIN_CAP", 4)
+    assert run(capsys, "extrema", "-f", "x1&x2")[0] == 0
 
 
 def test_fault_output_format(capsys):

@@ -15,26 +15,23 @@ from functools import partial
 import numpy as np
 
 from formulaflow import (
-    and_promise,
     build_nand_tree,
     build_span_program,
     compute_bounds,
-    composed_domain,
     composed_formula,
     eval_formula,
     example_family,
+    explicit_domain,
     export,
     formula_graph,
     from_json,
     gate,
     leaf,
-    or_promise,
-    promise_membership,
+    promise_domain,
     random_formula,
     verify_resistance_product,
     witness_extrema,
 )
-from formulaflow.bounds import explicit_domain
 from formulaflow.formula import AND, OR, all_inputs, fold
 from formulaflow.verify import PRODUCT_STRUCTURES
 
@@ -74,6 +71,10 @@ def _bound_cases():
             yield f"random {i} side {side}", f, weights, explicit_domain(members)
 
 
+def _label(kind, n, h, levels):
+    return f"PromiseDomain(kind={kind!r}, n={n!r}, h={h!r}, levels={levels!r})"
+
+
 def _golden_digest():
     digest = hashlib.sha256()
     for label, f, weights, domain in _bound_cases():
@@ -100,19 +101,20 @@ def _golden_digest():
                         assert want is None or abs(got - float(want)) <= 1e-9 * float(want)
                     ext = dataclasses.replace(ext, approx_plus=None, approx_minus=None)
                 digest.update(f"extrema {i} {approx}|{ext!r}".encode())
+    # each membership list is labelled as it was recorded, by the repr of the
+    # promise type of the time, which the label alone still spells
     for n in range(2, 9):
-        for kind, promise in ((AND, and_promise), (OR, or_promise)):
-            f = gate(kind, [leaf(i + 1) for i in range(n)])
+        for kind in (AND, OR):
             for h in range(1, n + 1):
-                dom = promise(n, h)
-                members = [promise_membership(dom, f, x) for x in all_inputs(n)]
-                digest.update(f"{dom}|{members}".encode())
+                dom = promise_domain([(kind, n, h)])
+                members = [x in dom for x in all_inputs(n)]
+                digest.update(f"{_label(kind, n, h, ())}|{members}".encode())
     for levels in PRODUCT_STRUCTURES:
-        f = composed_formula(levels)
-        if f.n_vars <= 12:
-            dom = composed_domain(levels)
-            members = [promise_membership(dom, f, x) for x in all_inputs(f.n_vars)]
-            digest.update(f"{dom}|{members}".encode())
+        n = composed_formula(levels).n_vars
+        if n <= 12:
+            dom = promise_domain(levels)
+            members = [x in dom for x in all_inputs(n)]
+            digest.update(f"{_label('composed', 0, 0, dom.levels)}|{members}".encode())
     return digest.hexdigest()
 
 
@@ -125,6 +127,6 @@ def test_domain_results_match_golden_digest():
     # PRODUCT_STRUCTURES entry; witness_extrema on 20 random weighted formulas
     # (N <= 6), with and without approx, on the host and on its exported copy
     # (the approximate maxima against the exact ones at 1e-9, not by digest);
-    # promise_membership on every input of the and/or promises with
+    # membership on every input of the and/or promises with
     # 2 <= n <= 8 and every h, and of the composed structures with N <= 12
     assert _golden_digest() == GOLDEN_DIGEST

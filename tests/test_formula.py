@@ -7,20 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from formulaflow import (
-    and_promise,
+    Domain,
     build_nand_tree,
     compose,
-    composed_domain,
     composed_formula,
     dual_formula,
-    enumerate_composed_domain,
     eval_formula,
-    full_domain,
+    explicit_domain,
     gate,
     leaf,
-    or_promise,
     parse_formula,
-    promise_membership,
+    promise_domain,
     random_formula,
     render,
     verify_resistance_product,
@@ -297,67 +294,81 @@ def test_dual_complement_property(f, bits_seed):
 # ---------------------------------------------------------------------------
 
 def test_and_promise_membership():
-    f = gate("and", [leaf(i) for i in range(1, 5)])
-    dom = and_promise(4, 2)
-    assert promise_membership(dom, f, "1111") is True
-    assert promise_membership(dom, f, "1110") is False
-    assert promise_membership(dom, f, "1100") is True
-    assert promise_membership(dom, f, "0000") is True
+    dom = promise_domain([("and", 4, 2)])
+    assert ("1111" in dom) is True
+    assert ("1110" in dom) is False
+    assert ("1100" in dom) is True
+    assert ((0, 0, 0, 0) in dom) is True
 
 
 def test_or_promise_membership():
-    f = gate("or", [leaf(i) for i in range(1, 5)])
-    dom = or_promise(4, 2)
-    assert promise_membership(dom, f, "0110") is True
-    assert promise_membership(dom, f, "0100") is False
-    assert promise_membership(dom, f, "0000") is True
+    dom = promise_domain([("or", 4, 2)])
+    assert ("0110" in dom) is True
+    assert ("0100" in dom) is False
+    assert ("0000" in dom) is True
 
 
 def test_promise_structural_mismatch():
-    f = gate("or", [leaf(1), leaf(2)])
-    with pytest.raises(PromiseMismatchError):
-        promise_membership(and_promise(2, 1), f, "11")
+    # the levels fix the chain, so an input of another length is refused
+    with pytest.raises(AssignmentLengthError, match="assignment length 3 != variable count 2"):
+        "111" in promise_domain([("and", 2, 1)])
 
 
 def test_single_gate_promise_is_a_one_level_domain():
-    f = gate("and", [leaf(1), leaf(2), leaf(3)])
-    with pytest.raises(PromiseMismatchError, match="composed level structure"):
-        promise_membership(or_promise(3, 1), f, "111")
+    dom = promise_domain([("or", 3, 1)])
+    assert dom.levels == (("or", 3, 1),) and len(dom) == 8
+    with pytest.raises(AssignmentLengthError):
+        "11" in dom
     with pytest.raises(PromiseMismatchError, match=r"bad level \(and, 1, 1\)"):
-        promise_membership(and_promise(1, 1), leaf(1), "1")
+        promise_domain([("and", 1, 1)])
 
 
 @pytest.mark.parametrize("n, h", [(4, 1.5), (2.0, 1), (3, True), (True, True), ("3", 1)])
-@pytest.mark.parametrize("promise", [and_promise, or_promise])
-def test_promise_sizes_must_be_ints(promise, n, h):
-    with pytest.raises(PromiseMismatchError, match=r"^promise requires 1 <= h <= N$"):
-        promise(n, h)
+@pytest.mark.parametrize("kind", ["and", "or"])
+def test_promise_sizes_must_be_ints(kind, n, h):
+    with pytest.raises(PromiseMismatchError, match=rf"^bad level \({kind}, {n}, {h}\)$"):
+        promise_domain([(kind, n, h)])
 
 
 def test_full_domain_accepts_everything():
-    f = build_nand_tree(2)
-    dom = full_domain(4)
-    assert all(promise_membership(dom, f, x) for x in all_inputs(4))
+    # h = 1 promises are vacuous; the chain is the depth-2 NAND tree
+    dom = promise_domain([("or", 2, 1), ("and", 2, 1)])
+    assert composed_formula(dom.levels) == build_nand_tree(2)
+    assert all(x in dom for x in all_inputs(4))
+    assert sorted(dom) == list(all_inputs(4))
 
 
 def test_composed_membership_checks_every_level():
-    levels = [("or", 2, 1), ("and", 2, 2)]
-    f = composed_formula(levels)
-    dom = composed_domain(levels)
+    dom = promise_domain([("or", 2, 1), ("and", 2, 2)])
     # inner blocks must each hit weight 2 or <= 0; outer value vector anything
-    assert promise_membership(dom, f, "1100") is True
-    assert promise_membership(dom, f, "1000") is False  # inner block weight 1
-    assert promise_membership(dom, f, "0000") is True
+    assert ("1100" in dom) is True
+    assert ("1000" in dom) is False  # inner block weight 1
+    assert ("0010" in dom) is False  # the second inner block
+    assert ("0000" in dom) is True
 
 
 def test_enumerate_composed_domain_matches_membership():
-    levels = [("or", 2, 1), ("and", 2, 1)]
-    f = composed_formula(levels)
-    dom = composed_domain(levels)
-    enumerated = set(enumerate_composed_domain(levels))
-    by_membership = {x for x in all_inputs(4) if promise_membership(dom, f, x)}
-    assert enumerated == by_membership
-    assert len(enumerated) == 16  # h=1 promises are vacuous here
+    dom = promise_domain([("or", 2, 1), ("and", 2, 1)])
+    by_membership = {x for x in all_inputs(4) if x in dom}
+    assert set(dom) == by_membership
+    assert len(dom) == 16  # h=1 promises are vacuous here
+
+
+def test_explicit_domain_membership_and_order():
+    dom = explicit_domain([(1, 0), [0, 1]])
+    assert dom.items == ((1, 0), (0, 1)) and list(dom) == [(1, 0), (0, 1)]
+    assert (len(dom), dom.kind, dom.levels, dom.counts) == (2, "explicit", (), None)
+    assert "10" in dom and (0, 1) in dom and "11" not in dom and "00" not in dom
+    with pytest.raises(AssignmentLengthError):
+        "1" in dom
+    assert "1" not in explicit_domain([])
+
+
+def test_classes_domain_counts_points_not_items():
+    dom = Domain(((0, 0), (1, 0), (1, 1)), (1, 2, 1))
+    assert (len(dom), len(dom.items), dom.kind) == (4, 3, "classes")
+    with pytest.raises(TypeError, match="one input per class"):
+        (0, 0) in dom
 
 
 def _chains():
@@ -375,21 +386,20 @@ def test_enumeration_is_the_counted_promised_set_without_repeats():
     chains = list(_chains())
     assert len(chains) == 630
     for levels in chains:
-        f, dom = composed_formula(levels), composed_domain(levels)
-        enumerated = list(enumerate_composed_domain(levels))
+        dom = promise_domain(levels)
+        enumerated = list(dom)
         assert len(set(enumerated)) == len(enumerated), levels
-        assert set(enumerated) == {x for x in all_inputs(f.n_vars)
-                                   if promise_membership(dom, f, x)}, levels
-        assert len(enumerated) == count_composed_domain(levels), levels
+        assert set(enumerated) == {x for x in all_inputs(composed_formula(levels).n_vars)
+                                   if x in dom}, levels
+        assert len(enumerated) == len(dom) == count_composed_domain(levels), levels
 
 
 def test_enumeration_yields_the_1_inputs_then_the_0_inputs_by_weight():
     levels = [("or", 3, 2)]
-    assert list(enumerate_composed_domain(levels)) == [
+    assert list(promise_domain(levels)) == [
         (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (0, 0, 0)]
     f = composed_formula([("and", 2, 1), ("or", 2, 1)])
-    values = [eval_formula(f, x) for x in enumerate_composed_domain(
-        [("and", 2, 1), ("or", 2, 1)])]
+    values = [eval_formula(f, x) for x in promise_domain([("and", 2, 1), ("or", 2, 1)])]
     assert values == sorted(values, reverse=True) and values.count(1) == 9
 
 
@@ -397,7 +407,7 @@ def test_enumeration_yields_the_1_inputs_then_the_0_inputs_by_weight():
 def test_tight_wide_structures_enumerate_in_time_with_their_count(levels):
     # an all-or-nothing promise keeps two inputs, whatever the leaf count
     start = time.perf_counter()
-    enumerated = list(enumerate_composed_domain(levels))
+    enumerated = list(promise_domain(levels))
     assert time.perf_counter() - start < 1.0
     assert len(enumerated) == count_composed_domain(levels) == 2
     n = np.prod([n for _kind, n, _h in levels])
@@ -407,10 +417,10 @@ def test_tight_wide_structures_enumerate_in_time_with_their_count(levels):
 def test_enumeration_admits_a_domain_of_exactly_the_budget(monkeypatch):
     # or(2, 1) keeps all 4 inputs of its 2 leaves
     monkeypatch.setattr(formula_mod, "DOMAIN_CAP", 4)
-    assert len(list(enumerate_composed_domain([("or", 2, 1)]))) == 4
+    assert len(promise_domain([("or", 2, 1)])) == 4
     monkeypatch.setattr(formula_mod, "DOMAIN_CAP", 3)
-    with pytest.raises(DomainTooLargeError, match="^composed domain exceeds the exhaustive budget$"):
-        list(enumerate_composed_domain([("or", 2, 1)]))
+    with pytest.raises(DomainTooLargeError, match="^domain has more than 3 points$"):
+        promise_domain([("or", 2, 1)])
 
 
 @pytest.mark.parametrize("level, shown", [
@@ -425,10 +435,9 @@ def test_enumeration_admits_a_domain_of_exactly_the_budget(monkeypatch):
     (("or", True, 1), "(or, True, 1)"),
 ])
 @pytest.mark.parametrize("call", [
-    composed_domain,
+    promise_domain,
     composed_formula,
     count_composed_domain,
-    lambda levels: list(enumerate_composed_domain(levels)),
     verify_resistance_product,
 ])
 def test_every_composed_route_rejects_a_bad_level(call, level, shown):
@@ -451,4 +460,4 @@ def test_count_accepts_exactly_cap_many_leaves():
 
 
 def test_composed_domain_levels_are_tuples():
-    assert composed_domain([["and", 2, 1], ("or", 3, 2)]).levels == (("and", 2, 1), ("or", 3, 2))
+    assert promise_domain([["and", 2, 1], ("or", 3, 2)]).levels == (("and", 2, 1), ("or", 3, 2))
